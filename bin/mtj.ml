@@ -459,7 +459,11 @@ let exec_cmd =
     let is_scheme =
       Filename.check_suffix file ".rkt" || Filename.check_suffix file ".scm"
     in
-    let outcome_str, output, insns =
+    let rejected kind msg =
+      Printf.eprintf "[%s error: %s]\n" kind msg;
+      exit 1
+    in
+    let run_file () =
       if is_scheme then begin
         let outcome, vm = Mtj_rklite.Kvm.run ~config src in
         ( (match outcome with
@@ -478,6 +482,18 @@ let exec_cmd =
           Mtj_pylite.Vm.output vm,
           Mtj_machine.Engine.total_insns (Mtj_pylite.Vm.engine vm) )
       end
+    in
+    let outcome_str, output, insns =
+      match run_file () with
+      | result -> result
+      | exception
+          (Mtj_pylite.Lexer.Syntax_error msg | Mtj_rklite.Reader.Syntax_error msg)
+        ->
+          rejected "syntax" msg
+      | exception
+          ( Mtj_pylite.Compiler.Compile_error msg
+          | Mtj_rklite.Kcompiler.Compile_error msg ) ->
+          rejected "compile" msg
     in
     print_string output;
     Printf.eprintf "[%s; %d simulated instructions]\n" outcome_str insns

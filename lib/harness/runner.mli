@@ -120,6 +120,9 @@ type result = {
 
 val default_budget : int
 
+val profile_of : vm_config -> Mtj_core.Profile.t
+(** The interpreter cost profile a [vm_config] runs under. *)
+
 val config_of : ?budget:int -> vm_config -> Mtj_core.Config.t
 (** The {!Mtj_core.Config.t} a given [vm_config] runs under, with the
     session's [--threaded-interp] / [--frame-pool] / [--tier-policy]

@@ -153,21 +153,65 @@ module Make (L : Threaded.LANG) = struct
     in
     go [] bottom
 
-  let build_resume (innermost : tframe) : Ir.resume =
-    let frames =
-      List.map
-        (fun (f : tframe) ->
-          {
-            Ir.snap_code = f.Frame.code_ref;
-            snap_pc = f.Frame.pc;
-            snap_locals = Array.map source_of_tval f.Frame.locals;
-            snap_stack =
-              Array.init f.Frame.sp (fun i -> source_of_tval f.Frame.stack.(i));
-            snap_discard = f.Frame.discard_return;
-          })
-        (chain_outermost_first innermost)
+  (* does the tracked slot [tv] still hold what snapshot source [s]
+     names? *)
+  let same_source (tv : Recorder.tval) (s : Ir.source) =
+    match (tv.Recorder.src, s) with
+    | Ir.Reg r, Ir.S_reg r' -> r = r'
+    | Ir.Const v, Ir.S_const v' -> v == v'
+    | _ -> false
+
+  let same_sources (tvs : Recorder.tval array) n (srcs : Ir.source array) =
+    Array.length srcs = n
+    &&
+    let i = ref 0 in
+    while !i < n && same_source tvs.(!i) srcs.(!i) do
+      incr i
+    done;
+    !i = n
+
+  (* snapshot [f], reusing [prev] (the previous bytecode's snapshot of the
+     frame at the same depth) whole when nothing in the frame changed,
+     or its locals array when only the pc or the stack did *)
+  let snap_frame (prev : Ir.frame_snap option) (f : tframe) : Ir.frame_snap =
+    let locals = f.Frame.locals in
+    let fresh snap_locals =
+      {
+        Ir.snap_code = f.Frame.code_ref;
+        snap_pc = f.Frame.pc;
+        snap_locals;
+        snap_stack =
+          Array.init f.Frame.sp (fun i -> source_of_tval f.Frame.stack.(i));
+        snap_discard = f.Frame.discard_return;
+      }
     in
-    { Ir.frames; r_virtuals = [||] }
+    match prev with
+    | Some p when same_sources locals (Array.length locals) p.Ir.snap_locals ->
+        if
+          p.Ir.snap_code = f.Frame.code_ref
+          && p.Ir.snap_pc = f.Frame.pc
+          && p.Ir.snap_discard = f.Frame.discard_return
+          && same_sources f.Frame.stack f.Frame.sp p.Ir.snap_stack
+        then p
+        else fresh p.Ir.snap_locals
+    | _ -> fresh (Array.map source_of_tval locals)
+
+  (* the resume record is always fresh (the optimizer memoizes whole
+     records, and a virtual's descriptor depends on the guard's position);
+     only its frames and arrays are shared *)
+  let build_resume rec_ (innermost : tframe) : Ir.resume =
+    let rec go prev = function
+      | [] -> []
+      | f :: rest -> (
+          match prev with
+          | p :: prev -> snap_frame (Some p) f :: go prev rest
+          | [] -> snap_frame None f :: go [] rest)
+    in
+    {
+      Ir.frames =
+        go (Recorder.cur_resume rec_).Ir.frames (chain_outermost_first innermost);
+      r_virtuals = [||];
+    }
 
   type saved_frame = {
     s_code : L.code;
@@ -256,7 +300,7 @@ module Make (L : Threaded.LANG) = struct
            through (unrolled); overly long unrolls hit the trace-length
            abort, as in RPython *)
         last_saved := save_chain f;
-        Recorder.begin_bytecode rec_ ~resume:(build_resume f)
+        Recorder.begin_bytecode rec_ ~resume:(build_resume rec_ f)
           ~code:f.Frame.code_ref ~pc:f.Frame.pc;
         match T.step_ref rec_ t.globals f with
         | Frame.Continue -> loop (steps + 1)

@@ -86,7 +86,12 @@ type gkind =
   | G_global_version of int ref * int
       (* the promoted-globals version cell still holds the value *)
 
-(* ---------- resume data ---------- *)
+(* ---------- resume data ----------
+
+   Snapshots are immutable once recorded and are shared: consecutive
+   bytecodes' snapshots share every frame (or locals array) that did not
+   change, the optimizer rewrites each shared piece once, and
+   [copy_ops] copies none. Nothing may write into a snapshot's arrays. *)
 
 (* where a slot's value comes from at deoptimization time *)
 type source =
@@ -420,40 +425,19 @@ let pp_op fmt (op : op) =
     op.args;
   Format.fprintf fmt ")"
 
-(* deep-copy recorded ops so a recompile (tier-2, or a test harness)
-   starts from pristine guards: fresh guard records with no attached
-   bridge and a zero fail count, and private resume/arg arrays. The old
-   trace keeps its own guards, so bridges already attached to it keep
-   working while it remains reachable. *)
+(* copy recorded ops so a recompile (tier-2, or a test harness) starts
+   from pristine guards: fresh guard records with no attached bridge and
+   a zero fail count, and private arg arrays. Resume snapshots are
+   immutable after recording, so the copy shares them with the original
+   rather than multiplying every shared frame. The old trace keeps its
+   own guards, so bridges already attached to it keep working while it
+   remains reachable. *)
 let copy_ops (ops : op array) : op array =
-  let copy_resume (r : resume) =
-    {
-      frames =
-        List.map
-          (fun (f : frame_snap) ->
-            {
-              f with
-              snap_locals = Array.copy f.snap_locals;
-              snap_stack = Array.copy f.snap_stack;
-            })
-          r.frames;
-      r_virtuals = Array.copy r.r_virtuals;
-    }
-  in
   Array.map
     (fun (op : op) ->
       let opcode =
         match op.opcode with
-        | Guard g ->
-            Guard
-              {
-                g with
-                resume = copy_resume g.resume;
-                fail_count = 0;
-                bridge = None;
-              }
-        | Debug_merge_point d ->
-            Debug_merge_point { d with dmp_resume = copy_resume d.dmp_resume }
+        | Guard g -> Guard { g with fail_count = 0; bridge = None }
         | other -> other
       in
       { op with opcode; args = Array.copy op.args })

@@ -480,6 +480,60 @@ let pass_fold_forward ?(seed_shapes = []) ?(seed_bounds = []) cfg
 module IntSet = Set.Make (Int)
 module IntMap = Map.Make (Int)
 
+(* physical-identity tables over resume data.  Snapshot pieces are
+   immutable and shared between guards (see [Driver.build_resume]); the
+   hash is structural and bounded, so physically equal keys always meet
+   in one bucket, and equality is identity. *)
+module Phys (T : sig
+  type t
+end) =
+Hashtbl.Make (struct
+  type t = T.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+module Resume_tbl = Phys (struct
+  type t = Ir.resume
+end)
+
+module Frame_tbl = Phys (struct
+  type t = Ir.frame_snap
+end)
+
+module Src_tbl = Phys (struct
+  type t = Ir.source array
+end)
+
+(* apply [f] to every source of [r]'s frames and virtual descriptors,
+   skipping the source arrays already in [seen] and adding the others:
+   a walk over a whole trace then visits each shared array once *)
+let iter_sources (seen : unit Src_tbl.t) f (r : Ir.resume) =
+  let visit a =
+    if not (Src_tbl.mem seen a) then begin
+      Src_tbl.replace seen a ();
+      Array.iter f a
+    end
+  in
+  List.iter
+    (fun (fr : Ir.frame_snap) ->
+      visit fr.Ir.snap_locals;
+      visit fr.Ir.snap_stack)
+    r.Ir.frames;
+  Array.iter
+    (function
+      | Ir.V_instance { v_fields; _ } -> visit v_fields
+      | Ir.V_tuple a | Ir.V_list a -> visit a
+      | Ir.V_cell s -> f s)
+    r.Ir.r_virtuals
+
+let op_resume (op : Ir.op) =
+  match op.Ir.opcode with
+  | Ir.Guard g -> Some g.Ir.resume
+  | Ir.Debug_merge_point d -> Some d.dmp_resume
+  | _ -> None
+
 type vstate = {
   v_opcode : Ir.opcode;
   mutable v_fields : Ir.operand IntMap.t;  (* field/element index -> value *)
@@ -568,33 +622,7 @@ let compute_escapes (ops : Ir.op array) candidates =
             !values)
       stores
   done;
-  (match Sys.getenv_opt "MTJ_DEBUG_ESCAPE" with
-  | Some tgt ->
-      let r = int_of_string tgt in
-      if IntSet.mem r candidates then begin
-        Printf.eprintf "ESCAPE[%d ops]: r%d candidate=%b escaped=%b\n"
-          (Array.length ops) r true (IntSet.mem r !escaped);
-        Hashtbl.iter
-          (fun target values ->
-            if List.exists (function Ir.Reg x -> x = r | _ -> false) !values
-            then
-              Printf.eprintf "  stored into r%d (candidate=%b escaped=%b)\n"
-                target (IntSet.mem target candidates)
-                (IntSet.mem target !escaped))
-          stores
-      end
-  | None -> ());
   !escaped
-
-(* debug bisection hook: cap how many allocations may be virtualized *)
-let max_virtuals =
-  match Sys.getenv_opt "MTJ_MAX_VIRTUALS" with
-  | Some s -> (try int_of_string s with _ -> max_int)
-  | None -> max_int
-
-(* shared across domains; only consulted when MTJ_MAX_VIRTUALS is set,
-   so an atomic is plenty *)
-let virtuals_seen = Atomic.make 0
 
 let pass_virtuals_once cfg (ops : Ir.op array)
     (subst0 : (int, Ir.operand) Hashtbl.t) ~(forced : IntSet.t) =
@@ -616,107 +644,119 @@ let pass_virtuals_once cfg (ops : Ir.op array)
   in
   let escaped = compute_escapes ops candidates in
   let virtuals = IntSet.diff candidates escaped in
-  let virtuals =
-    if max_virtuals = max_int then virtuals
-    else
-      IntSet.filter
-        (fun r ->
-          let keep = 1 + Atomic.fetch_and_add virtuals_seen 1 <= max_virtuals in
-          if keep && Sys.getenv_opt "MTJ_DEBUG_VIRTUALS" <> None then begin
-            Printf.eprintf "VIRTUALIZING reg %d in trace of %d ops\n"
-              r (Array.length ops);
-            Array.iteri
-              (fun i (op : Ir.op) ->
-                let uses =
-                  op.Ir.result = r
-                  || Array.exists
-                       (function Ir.Reg x -> x = r | _ -> false)
-                       op.Ir.args
-                in
-                if uses then
-                  Printf.eprintf "   op %d: %s\n" i
-                    (Format.asprintf "%a" Ir.pp_op op))
-              ops
-          end;
-          keep)
-        virtuals
-  in
   let vstates : (int, vstate) Hashtbl.t = Hashtbl.create 16 in
   let is_virtual = function
     | Ir.Reg r -> IntSet.mem r virtuals
     | Ir.Const _ -> false
   in
-  (* capture a resume record, rewriting substituted regs and virtuals *)
-  let resume_memo : (Ir.resume * Ir.resume) list ref = ref [] in
+  (* capture a resume record, rewriting substituted regs and virtuals.
+     Snapshots are immutable and shared between guards (see
+     [Driver.build_resume]), so the rewrite is memoized by physical
+     identity at three levels: whole records, frames and source arrays.
+     A frame or array is memoized only when its rewrite holds no
+     virtual: a virtual's descriptor reads the allocation's fields as
+     of this guard and its index is numbered per record.  Everything
+     else resolves through substitution chains that are settled once
+     the register is defined, which every snapshot naming it follows,
+     so the memoized rewrite equals a fresh one.  A piece the rewrite
+     leaves unchanged is returned as is. *)
+  let resume_memo = Resume_tbl.create 64 in
+  let frame_memo = Frame_tbl.create 64 in
+  let array_memo = Src_tbl.create 64 in
+  let vdescs = ref [||] in
+  let nv = ref 0 in
+  let vindex : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let saw_virtual = ref false in
+  let rec source_of (o : Ir.operand) : Ir.source =
+    match resolve_chain o with
+    | Ir.Const v -> Ir.S_const v
+    | Ir.Reg r when IntSet.mem r virtuals ->
+        saw_virtual := true;
+        Ir.S_virtual (vreg r)
+    | Ir.Reg r -> Ir.S_reg r
+  and vreg r =
+    match Hashtbl.find_opt vindex r with
+    | Some i -> i
+    | None ->
+        let i = !nv in
+        incr nv;
+        Hashtbl.replace vindex r i;
+        (* reserve the slot before recursing (cyclic structures) *)
+        if i >= Array.length !vdescs then begin
+          let grown = Array.make (max 4 (2 * i)) (Ir.V_tuple [||]) in
+          Array.blit !vdescs 0 grown 0 i;
+          vdescs := grown
+        end;
+        let st = Hashtbl.find vstates r in
+        let fields n =
+          Array.init n (fun k ->
+              match IntMap.find_opt k st.v_fields with
+              | Some o -> source_of o
+              | None -> Ir.S_const Mtj_rt.Value.nil)
+        in
+        let desc =
+          match st.v_opcode with
+          | Ir.New_with_vtable cls ->
+              let nfields =
+                match IntMap.max_binding_opt st.v_fields with
+                | Some (k, _) -> k + 1
+                | None -> 0
+              in
+              Ir.V_instance { v_cls = cls; v_fields = fields nfields }
+          | Ir.New_array n -> Ir.V_tuple (fields n)
+          | Ir.New_list n -> Ir.V_list (fields n)
+          | Ir.New_cell -> Ir.V_cell (source_of (IntMap.find 0 st.v_fields))
+          | _ -> assert false
+        in
+        !vdescs.(i) <- desc;
+        i
+  in
+  let rewrite_source (s : Ir.source) =
+    match s with
+    | Ir.S_reg r -> (
+        match source_of (Ir.Reg r) with
+        | Ir.S_reg r' when r' = r -> s
+        | s' -> s')
+    | Ir.S_const _ | Ir.S_virtual _ -> s
+  in
+  (* [memoized] runs [rewrite] once per physically distinct virtual-free
+     piece; [saw_virtual] accumulates over the whole record *)
+  let memoized find add rewrite x =
+    match find x with
+    | Some y -> y
+    | None ->
+        let outer = !saw_virtual in
+        saw_virtual := false;
+        let y = rewrite x in
+        if not !saw_virtual then add x y;
+        saw_virtual := outer || !saw_virtual;
+        y
+  in
+  let rewrite_array =
+    memoized (Src_tbl.find_opt array_memo) (Src_tbl.replace array_memo)
+      (fun (a : Ir.source array) ->
+        let a' = Array.map rewrite_source a in
+        if Array.for_all2 ( == ) a a' then a else a')
+  in
+  let rewrite_frame =
+    memoized (Frame_tbl.find_opt frame_memo) (Frame_tbl.replace frame_memo)
+      (fun (f : Ir.frame_snap) ->
+        let locals = rewrite_array f.Ir.snap_locals in
+        let stack = rewrite_array f.Ir.snap_stack in
+        if locals == f.Ir.snap_locals && stack == f.Ir.snap_stack then f
+        else { f with Ir.snap_locals = locals; snap_stack = stack })
+  in
   let capture_resume (resume : Ir.resume) : Ir.resume =
-    match List.assq_opt resume !resume_memo with
+    match Resume_tbl.find_opt resume_memo resume with
     | Some r -> r
     | None ->
-        let vdescs = ref [] in
-        let nv = ref 0 in
-        let vindex : (int, int) Hashtbl.t = Hashtbl.create 8 in
-        let rec source_of (o : Ir.operand) : Ir.source =
-          let o = resolve_chain o in
-          match o with
-          | Ir.Const v -> Ir.S_const v
-          | Ir.Reg r when IntSet.mem r virtuals -> Ir.S_virtual (vreg r)
-          | Ir.Reg r -> Ir.S_reg r
-        and vreg r =
-          match Hashtbl.find_opt vindex r with
-          | Some i -> i
-          | None ->
-              let i = !nv in
-              incr nv;
-              Hashtbl.replace vindex r i;
-              (* reserve the slot before recursing (cyclic structures) *)
-              vdescs := (i, ref None) :: !vdescs;
-              let st = Hashtbl.find vstates r in
-              let fields n =
-                Array.init n (fun k ->
-                    match IntMap.find_opt k st.v_fields with
-                    | Some o -> source_of o
-                    | None -> Ir.S_const Mtj_rt.Value.nil)
-              in
-              let desc =
-                match st.v_opcode with
-                | Ir.New_with_vtable cls ->
-                    let nfields =
-                      match IntMap.max_binding_opt st.v_fields with
-                      | Some (k, _) -> k + 1
-                      | None -> 0
-                    in
-                    Ir.V_instance { v_cls = cls; v_fields = fields nfields }
-                | Ir.New_array n -> Ir.V_tuple (fields n)
-                | Ir.New_list n -> Ir.V_list (fields n)
-                | Ir.New_cell -> Ir.V_cell (source_of (IntMap.find 0 st.v_fields))
-                | _ -> assert false
-              in
-              (match List.assoc_opt i !vdescs with
-              | Some slot -> slot := Some desc
-              | None -> ());
-              i
-        in
-        let rewrite_source (s : Ir.source) =
-          match s with
-          | Ir.S_reg r -> source_of (Ir.Reg r)
-          | Ir.S_const _ | Ir.S_virtual _ -> s
-        in
-        let snap_frame (f : Ir.frame_snap) =
-          {
-            f with
-            Ir.snap_locals = Array.map rewrite_source f.Ir.snap_locals;
-            Ir.snap_stack = Array.map rewrite_source f.Ir.snap_stack;
-          }
-        in
-        let frames = List.map snap_frame resume.Ir.frames in
-        let arr =
-          Array.init !nv (fun i ->
-              match List.assoc_opt i !vdescs with
-              | Some { contents = Some d } -> d
-              | _ -> Ir.V_tuple [||])
-        in
-        let r = { Ir.frames; r_virtuals = arr } in
-        resume_memo := (resume, r) :: !resume_memo;
+        if !nv > 0 then begin
+          Hashtbl.reset vindex;
+          nv := 0
+        end;
+        let frames = List.map rewrite_frame resume.Ir.frames in
+        let r = { Ir.frames; r_virtuals = Array.sub !vdescs 0 !nv } in
+        Resume_tbl.replace resume_memo resume r;
         r
   in
   let out = ref [] in
@@ -825,34 +865,14 @@ let pass_virtuals_once cfg (ops : Ir.op array)
    and the pass retried *)
 let dangling_uses (ops : Ir.op array) (removed : IntSet.t) =
   let found = ref IntSet.empty in
-  let check_operand = function
-    | Ir.Reg r when IntSet.mem r removed -> found := IntSet.add r !found
-    | _ -> ()
-  in
-  let check_src = function
-    | Ir.S_reg r when IntSet.mem r removed -> found := IntSet.add r !found
-    | _ -> ()
-  in
-  let check_resume (r : Ir.resume) =
-    List.iter
-      (fun (f : Ir.frame_snap) ->
-        Array.iter check_src f.Ir.snap_locals;
-        Array.iter check_src f.Ir.snap_stack)
-      r.Ir.frames;
-    Array.iter
-      (function
-        | Ir.V_instance { v_fields; _ } -> Array.iter check_src v_fields
-        | Ir.V_tuple a | Ir.V_list a -> Array.iter check_src a
-        | Ir.V_cell sc -> check_src sc)
-      r.Ir.r_virtuals
-  in
+  let check r = if IntSet.mem r removed then found := IntSet.add r !found in
+  let seen = Src_tbl.create 64 in
   Array.iter
     (fun (op : Ir.op) ->
-      Array.iter check_operand op.Ir.args;
-      match op.Ir.opcode with
-      | Ir.Guard g -> check_resume g.Ir.resume
-      | Ir.Debug_merge_point d -> check_resume d.dmp_resume
-      | _ -> ())
+      Array.iter (function Ir.Reg r -> check r | Ir.Const _ -> ()) op.Ir.args;
+      Option.iter
+        (iter_sources seen (function Ir.S_reg r -> check r | _ -> ()))
+        (op_resume op))
     ops;
   !found
 
@@ -875,19 +895,7 @@ let pass_dce (ops : Ir.op array) =
   let use_source (s : Ir.source) =
     match s with Ir.S_reg r -> Hashtbl.replace used r () | _ -> ()
   in
-  let use_resume (r : Ir.resume) =
-    List.iter
-      (fun (f : Ir.frame_snap) ->
-        Array.iter use_source f.Ir.snap_locals;
-        Array.iter use_source f.Ir.snap_stack)
-      r.Ir.frames;
-    Array.iter
-      (function
-        | Ir.V_instance { v_fields; _ } -> Array.iter use_source v_fields
-        | Ir.V_tuple a | Ir.V_list a -> Array.iter use_source a
-        | Ir.V_cell s -> use_source s)
-      r.Ir.r_virtuals
-  in
+  let seen = Src_tbl.create 64 in
   let kept = ref [] in
   for i = Array.length ops - 1 downto 0 do
     let op = ops.(i) in
@@ -897,10 +905,7 @@ let pass_dce (ops : Ir.op array) =
     in
     if needed then begin
       Array.iter use op.Ir.args;
-      (match op.Ir.opcode with
-      | Ir.Guard g -> use_resume g.Ir.resume
-      | Ir.Debug_merge_point d -> use_resume d.dmp_resume
-      | _ -> ());
+      Option.iter (iter_sources seen use_source) (op_resume op);
       kept := op :: !kept
     end
   done;
@@ -923,49 +928,70 @@ let remap_source k (src : Ir.source) =
   | Ir.S_reg r -> Ir.S_reg (r + k)
   | Ir.S_const _ | Ir.S_virtual _ -> src
 
-let remap_vdesc k = function
-  | Ir.V_instance { v_cls; v_fields } ->
-      Ir.V_instance { v_cls; v_fields = Array.map (remap_source k) v_fields }
-  | Ir.V_tuple a -> Ir.V_tuple (Array.map (remap_source k) a)
-  | Ir.V_list a -> Ir.V_list (Array.map (remap_source k) a)
-  | Ir.V_cell s -> Ir.V_cell (remap_source k s)
-
-let remap_resume k (r : Ir.resume) =
-  {
-    Ir.frames =
-      List.map
-        (fun (f : Ir.frame_snap) ->
-          {
-            f with
-            Ir.snap_locals = Array.map (remap_source k) f.Ir.snap_locals;
-            snap_stack = Array.map (remap_source k) f.Ir.snap_stack;
-          })
-        r.Ir.frames;
-    r_virtuals = Array.map (remap_vdesc k) r.Ir.r_virtuals;
-  }
-
-let remap_op k (op : Ir.op) : Ir.op =
-  let opcode =
-    match op.Ir.opcode with
-    | Ir.Guard g ->
-        Ir.Guard
-          {
-            Ir.guard_id = Recorder.fresh_guard_id ();
-            gkind = g.Ir.gkind;
-            resume = remap_resume k g.Ir.resume;
-            fail_count = 0;
-            bridge = None;
-            bridgeable = g.Ir.bridgeable;
-          }
-    | Ir.Debug_merge_point d ->
-        Ir.Debug_merge_point { d with dmp_resume = remap_resume k d.dmp_resume }
-    | other -> other
+(* the body copy of a recorded trace; each shared frame and source
+   array is remapped once, so the copy shares exactly as the original *)
+let remap_ops k (ops : Ir.op array) : Ir.op array =
+  let arrays = Src_tbl.create 64 and frames = Frame_tbl.create 64 in
+  let memo find add f x =
+    match find x with
+    | Some y -> y
+    | None ->
+        let y = f x in
+        add x y;
+        y
   in
-  {
-    Ir.opcode;
-    args = Array.map (remap_operand k) op.Ir.args;
-    result = (if op.Ir.result >= 0 then op.Ir.result + k else -1);
-  }
+  let remap_array =
+    memo (Src_tbl.find_opt arrays) (Src_tbl.replace arrays)
+      (Array.map (remap_source k))
+  in
+  let remap_frame =
+    memo (Frame_tbl.find_opt frames) (Frame_tbl.replace frames)
+      (fun (f : Ir.frame_snap) ->
+        {
+          f with
+          Ir.snap_locals = remap_array f.Ir.snap_locals;
+          snap_stack = remap_array f.Ir.snap_stack;
+        })
+  in
+  let remap_resume (r : Ir.resume) =
+    {
+      Ir.frames = List.map remap_frame r.Ir.frames;
+      r_virtuals =
+        Array.map
+          (function
+            | Ir.V_instance { v_cls; v_fields } ->
+                Ir.V_instance { v_cls; v_fields = remap_array v_fields }
+            | Ir.V_tuple a -> Ir.V_tuple (remap_array a)
+            | Ir.V_list a -> Ir.V_list (remap_array a)
+            | Ir.V_cell s -> Ir.V_cell (remap_source k s))
+          r.Ir.r_virtuals;
+    }
+  in
+  Array.map
+    (fun (op : Ir.op) ->
+      let opcode =
+        match op.Ir.opcode with
+        | Ir.Guard g ->
+            Ir.Guard
+              {
+                Ir.guard_id = Recorder.fresh_guard_id ();
+                gkind = g.Ir.gkind;
+                resume = remap_resume g.Ir.resume;
+                fail_count = 0;
+                bridge = None;
+                bridgeable = g.Ir.bridgeable;
+              }
+        | Ir.Debug_merge_point d ->
+            Ir.Debug_merge_point
+              { d with dmp_resume = remap_resume d.dmp_resume }
+        | other -> other
+      in
+      {
+        Ir.opcode;
+        args = Array.map (remap_operand k) op.Ir.args;
+        result = (if op.Ir.result >= 0 then op.Ir.result + k else -1);
+      })
+    ops
 
 let max_reg (ops : Ir.op array) =
   Array.fold_left
@@ -994,67 +1020,40 @@ let straight cfg ?seed_shapes ?seed_bounds ops =
   let ops' = pass_virtuals cfg ops env.subst in
   (pass_dce ops', ops, env)
 
-(* debug: detect uses of registers whose defining op was removed *)
-let verify_defs name (ops : Ir.op array) ~entry_slots ~loop_base =
-  if Sys.getenv_opt "MTJ_VERIFY_TRACES" <> None then begin
-    let defined = Hashtbl.create 64 in
-    for i = 0 to entry_slots - 1 do
-      Hashtbl.replace defined i ();
-      Hashtbl.replace defined (loop_base + i) ()
-    done;
-    Array.iteri
-      (fun i (op : Ir.op) ->
-        Array.iter
-          (function
-            | Ir.Reg r when not (Hashtbl.mem defined r) ->
-                Printf.eprintf "DANGLING %s: op %d uses undefined r%d: %s\n"
-                  name i r
-                  (Format.asprintf "%a" Ir.pp_op op)
-            | _ -> ())
-          op.Ir.args;
-        let check_src s =
-          match s with
-          | Ir.S_reg r when not (Hashtbl.mem defined r) ->
-              Printf.eprintf "DANGLING %s: op %d resume uses undefined r%d\n"
-                name i r
-          | _ -> ()
-        in
-        (match op.Ir.opcode with
-        | Ir.Guard g ->
-            List.iter
-              (fun (f : Ir.frame_snap) ->
-                Array.iter check_src f.Ir.snap_locals;
-                Array.iter check_src f.Ir.snap_stack)
-              g.Ir.resume.Ir.frames;
-            Array.iter
-              (function
-                | Ir.V_instance { v_fields; _ } -> Array.iter check_src v_fields
-                | Ir.V_tuple a | Ir.V_list a -> Array.iter check_src a
-                | Ir.V_cell sc -> check_src sc)
-              g.Ir.resume.Ir.r_virtuals
-        | Ir.Debug_merge_point d ->
-            List.iter
-              (fun (f : Ir.frame_snap) ->
-                Array.iter check_src f.Ir.snap_locals;
-                Array.iter check_src f.Ir.snap_stack)
-              d.dmp_resume.Ir.frames
-        | _ -> ());
-        if op.Ir.result >= 0 then Hashtbl.replace defined op.Ir.result ())
-      ops
-  end
+let verify (ops : Ir.op array) ~entry_slots ~loop_base =
+  let defined = Hashtbl.create 64 in
+  for i = 0 to entry_slots - 1 do
+    Hashtbl.replace defined i ();
+    Hashtbl.replace defined (loop_base + i) ()
+  done;
+  let dangling = ref [] in
+  (* a shared source array is checked at its first use, the one with the
+     fewest registers defined *)
+  let seen = Src_tbl.create 64 in
+  Array.iteri
+    (fun i (op : Ir.op) ->
+      let check r =
+        if not (Hashtbl.mem defined r) then dangling := (i, r) :: !dangling
+      in
+      Array.iter (function Ir.Reg r -> check r | Ir.Const _ -> ()) op.Ir.args;
+      Option.iter
+        (iter_sources seen (function Ir.S_reg r -> check r | _ -> ()))
+        (op_resume op);
+      if op.Ir.result >= 0 then Hashtbl.replace defined op.Ir.result ())
+    ops;
+  List.rev !dangling
 
 let optimize (cfg : Config.t) ?(kind = `Bridge) (ops : Ir.op array)
     ~entry_slots : Ir.op array * int * int =
   let plain () =
     let final, _, _ = straight cfg ops in
-    verify_defs "plain" final ~entry_slots ~loop_base:0;
     (final, 0, 0)
   in
   if not (cfg.Config.opt_peel && kind = `Loop && ends_with_jump ops) then
     plain ()
   else begin
     let k = max_reg ops + 1 in
-    let body_raw = Array.map (remap_op k) ops in
+    let body_raw = remap_ops k ops in
     (* optimize the preamble and take the facts its jump carries *)
     let pre_final, pre_ops, pre_env = straight cfg ops in
     let pre_jump_args = pre_ops.(Array.length pre_ops - 1).Ir.args in
@@ -1122,8 +1121,6 @@ let optimize (cfg : Config.t) ?(kind = `Bridge) (ops : Ir.op array)
       match !body_result with
       | None -> plain ()
       | Some body_final ->
-          let all = Array.append pre_final body_final in
-          verify_defs "peeled" all ~entry_slots ~loop_base:k;
-          (all, k, Array.length pre_final)
+          (Array.append pre_final body_final, k, Array.length pre_final)
     end
   end

@@ -33,6 +33,19 @@ val optimize :
     the trace was peeled, the register base the back-edge jump refills
     and the operation index it targets (both [0] otherwise).
     [entry_slots] is the number of registers filled from interpreter
-    frame locals on trace entry. Setting [MTJ_VERIFY_TRACES] in the
-    environment makes every (intermediate) result run a define-before-use
-    check and report dangling registers on stderr. *)
+    frame locals on trace entry.
+
+    Resume snapshots are immutable and may be shared between guards:
+    each physically shared frame or source array is rewritten once per
+    pass, and the output shares the same way. The result equals, op for
+    op, that of the same trace with every snapshot copied apart. *)
+
+val verify :
+  Ir.op array -> entry_slots:int -> loop_base:int -> (int * int) list
+(** [verify ops ~entry_slots ~loop_base] is the define-before-use check
+    of an (optimized) trace: the [(op index, register)] pairs where an
+    operand or a resume source names a register that no earlier op
+    defines and that is neither an entry slot nor a slot the back-edge
+    refills ([loop_base + i]). A trace [optimize] returns yields [[]]. A
+    source array shared by several snapshots is checked once, at its
+    first use. *)

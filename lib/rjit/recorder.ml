@@ -45,6 +45,8 @@ type t = {
   mutable nops : int;
   mutable next_reg : int;
   mutable cur_resume : Ir.resume;
+      (* the current bytecode's snapshot; the next bytecode's snapshot
+         reuses its unchanged frames (see [Driver.build_resume]) *)
   mutable effect_in_bytecode : bool;
   mutable call_depth : int;
   known_shapes : (int, Ir.tyshape) Hashtbl.t;
@@ -165,6 +167,7 @@ let begin_bytecode t ~resume ~code ~pc =
       result = -1;
     }
 
+let cur_resume t = t.cur_resume
 let ops t = Array.of_list (List.rev t.ops_rev)
 let num_ops t = t.nops
 let call_depth t = t.call_depth

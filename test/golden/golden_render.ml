@@ -139,12 +139,45 @@ let metrics () =
   print_string printed;
   print_newline ()
 
+(* not a rendering: the define-before-use check (Opt.verify) over every
+   trace the JIT rows above compile.  The runner's cached results keep
+   no traces, so each JIT row runs again under the same config; exits
+   non-zero on a dangling use. *)
+let verify () =
+  let bad = ref 0 in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun c ->
+          let config = R.config_of ~budget c in
+          let src =
+            (Mtj_benchmarks.Registry.find_exn ~lang:Mtj_benchmarks.Registry.Py b)
+              .Mtj_benchmarks.Registry.source
+          in
+          let _, vm = Mtj_pylite.Vm.run ~config ~profile:(R.profile_of c) src in
+          List.iter
+            (fun (tr : Mtj_rjit.Ir.trace) ->
+              List.iter
+                (fun (i, r) ->
+                  incr bad;
+                  Printf.eprintf "%s/%s trace %d: op %d uses undefined r%d\n" b
+                    (R.config_name c) tr.Mtj_rjit.Ir.trace_id i r)
+                (Mtj_rjit.Opt.verify tr.Mtj_rjit.Ir.ops
+                   ~entry_slots:tr.Mtj_rjit.Ir.entry_slots
+                   ~loop_base:tr.Mtj_rjit.Ir.loop_base))
+            (Mtj_rjit.Jitlog.traces (Mtj_pylite.Vm.jitlog vm)))
+        (List.map snd tier_configs))
+    benches;
+  if !bad > 0 then exit 1
+
 let () =
   match Sys.argv with
   | [| _; "table" |] -> table ()
   | [| _; "figures" |] -> figures ()
   | [| _; "tiers" |] -> tiers ()
   | [| _; "metrics" |] -> metrics ()
+  | [| _; "verify" |] -> verify ()
   | _ ->
-      prerr_endline "usage: golden_render.exe (table|figures|tiers|metrics)";
+      prerr_endline
+        "usage: golden_render.exe (table|figures|tiers|metrics|verify)";
       exit 2

@@ -114,6 +114,7 @@ let configs =
 
 let run_one config src =
   let outcome, vm = V.run ~config src in
+  Check_traces.jitlog ~what:"generated program" (V.jitlog vm);
   match outcome with
   | Mtj_rjit.Driver.Completed _ -> V.output vm
   | Mtj_rjit.Driver.Budget_exceeded -> "<budget>"

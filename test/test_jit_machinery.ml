@@ -196,52 +196,6 @@ let test_budget_mid_jit () =
   | Mtj_rjit.Driver.Budget_exceeded -> ()
   | _ -> Alcotest.fail "expected budget exhaustion"
 
-(* regression for the virtual-substitution chain bug: every compiled
-   trace must only reference registers that are defined (entry slots,
-   loop-carried slots, or results of retained ops) *)
-let check_no_dangling_regs (jl : Jitlog.t) =
-  List.iter
-    (fun (tr : Ir.trace) ->
-      let defined = Hashtbl.create 64 in
-      for i = 0 to tr.Ir.entry_slots - 1 do
-        Hashtbl.replace defined i ();
-        Hashtbl.replace defined (tr.Ir.loop_base + i) ()
-      done;
-      let check_reg what r =
-        if not (Hashtbl.mem defined r) then
-          Alcotest.failf "trace %d: %s references undefined r%d" tr.Ir.trace_id
-            what r
-      in
-      let check_src = function
-        | Ir.S_reg r -> check_reg "resume" r
-        | Ir.S_const _ | Ir.S_virtual _ -> ()
-      in
-      let check_resume (r : Ir.resume) =
-        List.iter
-          (fun (f : Ir.frame_snap) ->
-            Array.iter check_src f.Ir.snap_locals;
-            Array.iter check_src f.Ir.snap_stack)
-          r.Ir.frames;
-        Array.iter
-          (function
-            | Ir.V_instance { v_fields; _ } -> Array.iter check_src v_fields
-            | Ir.V_tuple a | Ir.V_list a -> Array.iter check_src a
-            | Ir.V_cell sc -> check_src sc)
-          r.Ir.r_virtuals
-      in
-      Array.iter
-        (fun (op : Ir.op) ->
-          Array.iter
-            (function Ir.Reg r -> check_reg "op arg" r | Ir.Const _ -> ())
-            op.Ir.args;
-          (match op.Ir.opcode with
-          | Ir.Guard g -> check_resume g.Ir.resume
-          | Ir.Debug_merge_point d -> check_resume d.dmp_resume
-          | _ -> ());
-          if op.Ir.result >= 0 then Hashtbl.replace defined op.Ir.result ())
-        tr.Ir.ops)
-    (Jitlog.traces jl)
-
 let test_traces_well_formed () =
   (* rklite binarytrees historically triggered dangling registers via
      chained virtual reads; check it and a dict/string workload *)
@@ -251,13 +205,13 @@ let test_traces_well_formed () =
   (match Mtj_rklite.Kvm.run_source vm rk.Mtj_benchmarks.Registry.source with
   | Mtj_rjit.Driver.Completed _ -> ()
   | _ -> Alcotest.fail "rk binarytrees failed");
-  check_no_dangling_regs (Mtj_rklite.Kvm.jitlog vm);
+  Check_traces.jitlog ~what:"rk binarytrees" (Mtj_rklite.Kvm.jitlog vm);
   let py = Mtj_benchmarks.Registry.find_exn ~lang:Mtj_benchmarks.Registry.Py "django" in
   let vm2 = V.create ~config () in
   (match V.run_source vm2 py.Mtj_benchmarks.Registry.source with
   | Mtj_rjit.Driver.Completed _ -> ()
   | _ -> Alcotest.fail "django failed");
-  check_no_dangling_regs (V.jitlog vm2)
+  Check_traces.jitlog ~what:"django" (V.jitlog vm2)
 
 (* toplevel loops store their counters as module globals every iteration;
    PyPy's module-dict cells keep that from invalidating traces. Before

@@ -310,6 +310,7 @@ let run_config (cfg : Mtj_core.Config.t) ~optimizing ops entry =
     if optimizing then Opt.optimize cfg ~kind:`Bridge ops ~entry_slots
     else (ops, 0, 0)
   in
+  Check_traces.ops ~what:"random trace" ops ~entry_slots ~loop_base;
   let trace =
     Backend.compile jitlog rtc
       ~kind:(Ir.Bridge { from_guard = -1; loop_code = 0; loop_pc = 0 })
@@ -377,9 +378,343 @@ let test_generator_covers_deopt () =
   Alcotest.(check bool) "some runs finish" true (!finishes > 20);
   Alcotest.(check bool) "some runs deopt" true (!deopts > 20)
 
+(* --- sharing oracle ---
+
+   Recorded snapshots share frames and locals arrays between
+   consecutive bytecodes, and the optimizer rewrites each shared piece
+   once. The oracle: optimizing a trace gives, op for op, what
+   optimizing a copy with every snapshot record, frame and array
+   pulled apart gives — resume sources and virtual numbering
+   included. *)
+
+let unshare (ops : Ir.op array) =
+  let sources = Array.copy in
+  let resume (r : Ir.resume) =
+    {
+      Ir.frames =
+        List.map
+          (fun (f : Ir.frame_snap) ->
+            {
+              f with
+              Ir.snap_locals = sources f.Ir.snap_locals;
+              snap_stack = sources f.Ir.snap_stack;
+            })
+          r.Ir.frames;
+      r_virtuals =
+        Array.map
+          (function
+            | Ir.V_instance { v_cls; v_fields } ->
+                Ir.V_instance { v_cls; v_fields = sources v_fields }
+            | Ir.V_tuple a -> Ir.V_tuple (sources a)
+            | Ir.V_list a -> Ir.V_list (sources a)
+            | Ir.V_cell s -> Ir.V_cell s)
+          r.Ir.r_virtuals;
+    }
+  in
+  Array.map
+    (fun (op : Ir.op) ->
+      let opcode =
+        match op.Ir.opcode with
+        | Ir.Guard g ->
+            Ir.Guard
+              { g with Ir.resume = resume g.Ir.resume; fail_count = 0;
+                bridge = None }
+        | Ir.Debug_merge_point d ->
+            Ir.Debug_merge_point { d with dmp_resume = resume d.dmp_resume }
+        | other -> other
+      in
+      { op with Ir.opcode; args = Array.copy op.Ir.args })
+    ops
+
+(* constants the two runs folded separately are equal boxes, not one *)
+let const_eq x y =
+  x == y
+  || (V.is_float x && V.is_float y
+     && Int64.equal
+          (Int64.bits_of_float (V.to_float_unchecked x))
+          (Int64.bits_of_float (V.to_float_unchecked y)))
+  || (V.is_str x && V.is_str y
+     && String.equal (V.to_str_unchecked x) (V.to_str_unchecked y))
+
+let source_eq (a : Ir.source) (b : Ir.source) =
+  match (a, b) with
+  | Ir.S_reg x, Ir.S_reg y | Ir.S_virtual x, Ir.S_virtual y -> x = y
+  | Ir.S_const x, Ir.S_const y -> const_eq x y
+  | _ -> false
+
+let sources_eq a b =
+  Array.length a = Array.length b && Array.for_all2 source_eq a b
+
+let resume_eq (a : Ir.resume) (b : Ir.resume) =
+  List.equal
+    (fun (f : Ir.frame_snap) (g : Ir.frame_snap) ->
+      f.Ir.snap_code = g.Ir.snap_code
+      && f.Ir.snap_pc = g.Ir.snap_pc
+      && f.Ir.snap_discard = g.Ir.snap_discard
+      && sources_eq f.Ir.snap_locals g.Ir.snap_locals
+      && sources_eq f.Ir.snap_stack g.Ir.snap_stack)
+    a.Ir.frames b.Ir.frames
+  && Array.length a.Ir.r_virtuals = Array.length b.Ir.r_virtuals
+  && Array.for_all2
+       (fun (x : Ir.vdesc) (y : Ir.vdesc) ->
+         match (x, y) with
+         | Ir.V_instance x, Ir.V_instance y ->
+             x.v_cls == y.v_cls && sources_eq x.v_fields y.v_fields
+         | Ir.V_tuple x, Ir.V_tuple y | Ir.V_list x, Ir.V_list y ->
+             sources_eq x y
+         | Ir.V_cell x, Ir.V_cell y -> source_eq x y
+         | _ -> false)
+       a.Ir.r_virtuals b.Ir.r_virtuals
+
+let pp_resume fmt (r : Ir.resume) =
+  let src = function
+    | Ir.S_reg r -> Printf.sprintf "r%d" r
+    | Ir.S_const v -> V.repr v
+    | Ir.S_virtual k -> Printf.sprintf "v%d" k
+  in
+  let srcs a = String.concat "," (Array.to_list (Array.map src a)) in
+  List.iter
+    (fun (f : Ir.frame_snap) ->
+      Format.fprintf fmt "[%d@%d L(%s) S(%s)]" f.Ir.snap_code f.Ir.snap_pc
+        (srcs f.Ir.snap_locals) (srcs f.Ir.snap_stack))
+    r.Ir.frames;
+  Array.iteri
+    (fun i (d : Ir.vdesc) ->
+      Format.fprintf fmt " v%d=%s" i
+        (match d with
+        | Ir.V_instance { v_fields; _ } -> "inst(" ^ srcs v_fields ^ ")"
+        | Ir.V_tuple a -> "tuple(" ^ srcs a ^ ")"
+        | Ir.V_list a -> "list(" ^ srcs a ^ ")"
+        | Ir.V_cell s -> "cell(" ^ src s ^ ")"))
+    r.Ir.r_virtuals
+
+let pp_op fmt (op : Ir.op) =
+  Ir.pp_op fmt op;
+  match op.Ir.opcode with
+  | Ir.Guard g -> Format.fprintf fmt " %a" pp_resume g.Ir.resume
+  | Ir.Debug_merge_point d -> Format.fprintf fmt " %a" pp_resume d.dmp_resume
+  | _ -> ()
+
+let op_eq (a : Ir.op) (b : Ir.op) =
+  a.Ir.result = b.Ir.result
+  && Array.length a.Ir.args = Array.length b.Ir.args
+  && Array.for_all2
+       (fun (x : Ir.operand) (y : Ir.operand) ->
+         match (x, y) with
+         | Ir.Reg x, Ir.Reg y -> x = y
+         | Ir.Const x, Ir.Const y -> const_eq x y
+         | _ -> false)
+       a.Ir.args b.Ir.args
+  &&
+  match (a.Ir.opcode, b.Ir.opcode) with
+  | Ir.Guard g, Ir.Guard h ->
+      g.Ir.guard_id = h.Ir.guard_id
+      && g.Ir.gkind == h.Ir.gkind
+      && g.Ir.bridgeable = h.Ir.bridgeable
+      && resume_eq g.Ir.resume h.Ir.resume
+  | Ir.Debug_merge_point d, Ir.Debug_merge_point e ->
+      d.dmp_code = e.dmp_code && d.dmp_pc = e.dmp_pc
+      && resume_eq d.dmp_resume e.dmp_resume
+  | x, y -> x == y
+
+(* optimize [ops] shared and pulled apart; both runs mint the same guard
+   ids for the peeled body *)
+let check_oracle ~what cfg ~kind ops ~entry_slots =
+  let optimize ops =
+    Recorder.reset_guard_ids ();
+    Opt.optimize cfg ~kind ops ~entry_slots
+  in
+  let shared, base, start = optimize (Ir.copy_ops ops) in
+  let apart, base', start' = optimize (unshare ops) in
+  if base <> base' || start <> start' || Array.length shared <> Array.length apart
+  then
+    Alcotest.failf "%s: shape %d/%d/%d shared vs %d/%d/%d apart" what
+      (Array.length shared) base start (Array.length apart) base' start';
+  Array.iteri
+    (fun i op ->
+      if not (op_eq op apart.(i)) then
+        Alcotest.failf "%s: op %d differs:\n%s\nvs\n%s" what i
+          (Format.asprintf "%a" pp_op op)
+          (Format.asprintf "%a" pp_op apart.(i)))
+    shared;
+  Check_traces.ops ~what shared ~entry_slots ~loop_base:base
+
+(* every benchmark's raw recordings: the baseline tier compiles traces
+   without optimizing them *)
+let corpus_traces =
+  lazy
+    (let module B = Mtj_benchmarks.Registry in
+     let config = Mtj_core.Config.with_budget 1_500_000 Mtj_core.Config.baseline_tier in
+     List.concat_map
+       (fun (b : B.bench) ->
+         let jitlog =
+           match b.B.lang with
+           | B.Py -> Mtj_pylite.Vm.jitlog (snd (Mtj_pylite.Vm.run ~config b.B.source))
+           | B.Rk -> Mtj_rklite.Kvm.jitlog (snd (Mtj_rklite.Kvm.run ~config b.B.source))
+         in
+         List.filter_map
+           (fun (tr : Ir.trace) ->
+             if tr.Ir.tier = 1 then Some (b.B.name, tr) else None)
+           (Jitlog.traces jitlog))
+       B.all)
+
+let test_oracle_corpus () =
+  let traces = Lazy.force corpus_traces in
+  Alcotest.(check bool) "corpus recorded traces" true (List.length traces > 100);
+  List.iter
+    (fun (name, (tr : Ir.trace)) ->
+      let kind = match tr.Ir.kind with Ir.Loop _ -> `Loop | Ir.Bridge _ -> `Bridge in
+      List.iter
+        (fun (cname, cfg) ->
+          check_oracle
+            ~what:(Printf.sprintf "%s trace %d (%s)" name tr.Ir.trace_id cname)
+            cfg ~kind tr.Ir.ops ~entry_slots:tr.Ir.entry_slots)
+        (List.filter (fun (n, _) -> n = "full") configs))
+    traces
+
+(* a variant of a random trace whose guards share snapshot pieces the
+   way recorded ones do: a guard keeps the previous guard's frame whole,
+   or only its locals array under its own pc. Registers are SSA, so the
+   shared sources are defined at both guards. *)
+let share_snapshots seed (ops : Ir.op array) =
+  let rng = Random.State.make [| seed; 0x5ba4e |] in
+  let prev = ref None in
+  Array.map
+    (fun (op : Ir.op) ->
+      match (op.Ir.opcode, !prev) with
+      | Ir.Guard g, Some (p : Ir.frame_snap) -> (
+          match g.Ir.resume.Ir.frames with
+          | [ f ] ->
+              let f =
+                match Random.State.int rng 3 with
+                | 0 -> p
+                | 1 -> { f with Ir.snap_locals = p.Ir.snap_locals }
+                | _ -> f
+              in
+              prev := Some f;
+              {
+                op with
+                Ir.opcode =
+                  Ir.Guard { g with Ir.resume = { g.Ir.resume with Ir.frames = [ f ] } };
+              }
+          | _ -> op)
+      | Ir.Guard { Ir.resume = { Ir.frames = [ f ]; _ }; _ }, None ->
+          prev := Some f;
+          op
+      | _ -> op)
+    ops
+
+let prop_oracle_random =
+  QCheck.Test.make ~name:"shared snapshots optimize like unshared copies"
+    ~count:200
+    (QCheck.make QCheck.Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let ops, entry = gen_program seed in
+      let ops = share_snapshots seed ops in
+      List.iter
+        (fun (name, cfg) ->
+          List.iter
+            (fun kind ->
+              check_oracle
+                ~what:(Printf.sprintf "seed %d config %s" seed name)
+                cfg ~kind ops ~entry_slots)
+            [ `Bridge; `Loop ])
+        configs;
+      (* sharing changes what a deopt rebuilds, not whether the
+         optimizer preserves it *)
+      String.equal
+        (run_config base ~optimizing:false ops entry)
+        (run_config base ~optimizing:true ops entry))
+
+(* distinct (physical) snapshot arrays and frames of a trace's resumes *)
+module Phys_arrays = Hashtbl.Make (struct
+  type t = Ir.source array
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+module Phys_frames = Hashtbl.Make (struct
+  type t = Ir.frame_snap
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let snapshot_pieces (ops : Ir.op array) =
+  let arrays = Phys_arrays.create 64 and frames = Phys_frames.create 64 in
+  Array.iter
+    (fun (op : Ir.op) ->
+      let resume =
+        match op.Ir.opcode with
+        | Ir.Guard g -> Some g.Ir.resume
+        | Ir.Debug_merge_point d -> Some d.dmp_resume
+        | _ -> None
+      in
+      Option.iter
+        (fun (r : Ir.resume) ->
+          List.iter
+            (fun (f : Ir.frame_snap) ->
+              Phys_frames.replace frames f ();
+              Phys_arrays.replace arrays f.Ir.snap_locals ();
+              Phys_arrays.replace arrays f.Ir.snap_stack ())
+            r.Ir.frames)
+        resume)
+    ops;
+  (Phys_frames.length frames, Phys_arrays.length arrays)
+
+let test_copy_ops_keeps_sharing () =
+  List.iter
+    (fun (name, (tr : Ir.trace)) ->
+      let frames, arrays = snapshot_pieces tr.Ir.ops in
+      let frames', arrays' = snapshot_pieces (Ir.copy_ops tr.Ir.ops) in
+      if frames' > frames || arrays' > arrays then
+        Alcotest.failf "%s trace %d: copy has %d frames / %d arrays, input %d / %d"
+          name tr.Ir.trace_id frames' arrays' frames arrays)
+    (Lazy.force corpus_traces)
+
+(* consecutive bytecodes inside an inlined call leave the caller's
+   frame unchanged: its snapshot is one shared frame, not a copy *)
+let test_recorded_outer_frames_shared () =
+  let shared = ref 0 in
+  List.iter
+    (fun (name, (tr : Ir.trace)) ->
+      if name = "richards" then begin
+        let prev = ref [] in
+        Array.iter
+          (fun (op : Ir.op) ->
+            match op.Ir.opcode with
+            | Ir.Debug_merge_point d ->
+                let frames = d.dmp_resume.Ir.frames in
+                (match (frames, !prev) with
+                | outer :: _ :: _, outer' :: _ :: _ ->
+                    let same =
+                      resume_eq
+                        { Ir.frames = [ outer ]; r_virtuals = [||] }
+                        { Ir.frames = [ outer' ]; r_virtuals = [||] }
+                    in
+                    if same && outer != outer' then
+                      Alcotest.failf "richards trace %d: unchanged outer frame copied"
+                        tr.Ir.trace_id;
+                    if same then incr shared
+                | _ -> ());
+                prev := frames
+            | _ -> ())
+          tr.Ir.ops
+      end)
+    (Lazy.force corpus_traces);
+  Alcotest.(check bool) "richards shares outer frames" true (!shared > 0)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_opt_sound;
     Alcotest.test_case "generator covers finish and deopt" `Quick
       test_generator_covers_deopt;
+    Alcotest.test_case "shared snapshots optimize like unshared copies (corpus)"
+      `Quick test_oracle_corpus;
+    QCheck_alcotest.to_alcotest prop_oracle_random;
+    Alcotest.test_case "recorded outer frames are shared" `Quick
+      test_recorded_outer_frames_shared;
+    Alcotest.test_case "copy_ops adds no snapshot arrays" `Quick
+      test_copy_ops_keeps_sharing;
   ]
