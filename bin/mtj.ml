@@ -41,7 +41,7 @@ let list_cmd =
     List.iter
       (fun (b : B.bench) ->
         Printf.printf "%-20s %-4s %-6s %s\n" b.B.name
-          (match b.B.lang with B.Py -> "py" | B.Rk -> "rk")
+          (let (module V) = R.vm_of b.B.lang in V.lang_name)
           (match b.B.suite with B.Pypy_suite -> "pypy" | B.Clbg -> "clbg")
           b.B.regime)
       B.all
@@ -71,28 +71,6 @@ let budget_arg =
   Arg.(value & opt int R.default_budget
        & info [ "budget" ] ~docv:"INSNS" ~doc:"instruction budget")
 
-let threaded_arg =
-  let mode = Arg.enum [ ("on", true); ("off", false) ] in
-  Arg.(value & opt (some mode) None
-       & info [ "threaded-interp" ] ~docv:"on|off"
-           ~doc:"threaded interpreter dispatch: translate each code object \
-                 once into an array of pre-bound handler closures (default \
-                 on, or \\$(b,MTJ_THREADED_INTERP)); simulated counters are \
-                 identical either way, only host wall time changes")
-
-let apply_threaded = function Some b -> R.set_threaded_interp b | None -> ()
-
-let frame_pool_arg =
-  let mode = Arg.enum [ ("on", true); ("off", false) ] in
-  Arg.(value & opt (some mode) None
-       & info [ "frame-pool" ] ~docv:"on|off"
-           ~doc:"frame pooling: recycle dead frames' locals/stack arrays \
-                 through per-context free lists (default on, or \
-                 \\$(b,MTJ_FRAME_POOL)); simulated counters are identical \
-                 either way, only host allocation and wall time change")
-
-let apply_frame_pool = function Some b -> R.set_frame_pool b | None -> ()
-
 let tier_policy_arg =
   let policy =
     Arg.enum
@@ -112,17 +90,10 @@ let tier_policy_arg =
 
 let apply_tier_policy = function Some p -> R.set_tier_policy p | None -> ()
 
-let with_threaded config =
-  let config =
-    match R.tier_policy_override () with
-    | Some p -> { config with Mtj_core.Config.tier_policy = p }
-    | None -> config
-  in
-  {
-    config with
-    Mtj_core.Config.threaded_interp = R.threaded_interp ();
-    frame_pool = R.frame_pool ();
-  }
+let with_tier_policy config =
+  match R.tier_policy_override () with
+  | Some p -> { config with Mtj_core.Config.tier_policy = p }
+  | None -> config
 
 let show_output_arg =
   Arg.(value & flag & info [ "output" ] ~doc:"print the program's output")
@@ -178,9 +149,7 @@ let run_cmd =
     "Run benchmarks under a VM configuration (several benchmarks run in \
      parallel on worker domains; results print in argument order)"
   in
-  let run names vm budget jobs show_output threaded frame_pool tier_policy =
-    apply_threaded threaded;
-    apply_frame_pool frame_pool;
+  let run names vm budget jobs show_output tier_policy =
     apply_tier_policy tier_policy;
     if jobs > 0 then R.set_jobs jobs;
     (* fill the cache in parallel; a benchmark that fails to run is
@@ -202,7 +171,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ benches_arg $ config_arg $ budget_arg $ jobs_arg
-      $ show_output_arg $ threaded_arg $ frame_pool_arg $ tier_policy_arg)
+      $ show_output_arg $ tier_policy_arg)
 
 (* --- trace --- *)
 
@@ -225,13 +194,12 @@ let trace_cmd =
      $(b,--trace-out)/$(b,--metrics-out)) export the run's timeline and \
      counters as JSON"
   in
-  let run name budget trace_out metrics_out threaded frame_pool tier_policy =
-    apply_threaded threaded;
-    apply_frame_pool frame_pool;
+  let run name budget trace_out metrics_out tier_policy =
     apply_tier_policy tier_policy;
     let observing = trace_out <> None || metrics_out <> None in
     let config =
-      with_threaded (Mtj_core.Config.with_budget budget Mtj_core.Config.default)
+      with_tier_policy
+        (Mtj_core.Config.with_budget budget Mtj_core.Config.default)
     in
     let attach eng =
       if observing then Some (Mtj_obs.Sink.attach eng) else None
@@ -241,24 +209,18 @@ let trace_cmd =
       | Mtj_rjit.Driver.Budget_exceeded -> "budget"
       | Mtj_rjit.Driver.Runtime_error _ -> "failed"
     in
-    let jl, header, eng, rtc, sink, status =
+    let b =
       match B.find ~lang:B.Py name with
-      | Some b ->
-          let vm = Mtj_pylite.Vm.create ~config () in
-          let eng = Mtj_pylite.Vm.engine vm in
-          let sink = attach eng in
-          let outcome = Mtj_pylite.Vm.run_source vm b.B.source in
-          ( Mtj_pylite.Vm.jitlog vm, "pylite", eng, Mtj_pylite.Vm.rtc vm,
-            sink, status_of outcome )
-      | None ->
-          let b = B.find_exn ~lang:B.Rk name in
-          let vm = Mtj_rklite.Kvm.create ~config () in
-          let eng = Mtj_rklite.Kvm.engine vm in
-          let sink = attach eng in
-          let outcome = Mtj_rklite.Kvm.run_source vm b.B.source in
-          ( Mtj_rklite.Kvm.jitlog vm, "rklite", eng, Mtj_rklite.Kvm.rtc vm,
-            sink, status_of outcome )
+      | Some b -> b
+      | None -> B.find_exn ~lang:B.Rk name
     in
+    let header = match b.B.lang with B.Py -> "pylite" | B.Rk -> "rklite" in
+    let (module V) = R.vm_of b.B.lang in
+    let vm = V.create ~config () in
+    let eng = V.engine vm in
+    let sink = attach eng in
+    let status = status_of (V.run_source vm b.B.source) in
+    let jl = V.jitlog vm and rtc = V.rtc vm in
     Option.iter Mtj_obs.Sink.finalize sink;
     (match (trace_out, sink) with
     | Some file, Some s ->
@@ -304,7 +266,7 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
       const run $ bench_arg $ budget_arg $ trace_out_arg $ metrics_out_arg
-      $ threaded_arg $ frame_pool_arg $ tier_policy_arg)
+      $ tier_policy_arg)
 
 (* --- serve --- *)
 
@@ -375,8 +337,7 @@ let serve_cmd =
                    (0 = the whole corpus)")
   in
   let run requests jobs zipf_s seed shared profile_seed cache_capacity
-      tenant_quota corpus_size budget metrics_out threaded frame_pool
-      tier_policy =
+      tenant_quota corpus_size budget metrics_out tier_policy =
     if requests < 1 then begin
       Printf.eprintf "mtj: --requests must be >= 1 (got %d)\n" requests;
       exit 2
@@ -404,8 +365,6 @@ let serve_cmd =
         corpus_len corpus_size;
       exit 2
     end;
-    apply_threaded threaded;
-    apply_frame_pool frame_pool;
     apply_tier_policy tier_policy;
     if jobs > 0 then R.set_jobs jobs;
     let s =
@@ -424,8 +383,7 @@ let serve_cmd =
     Term.(
       const run $ requests_arg $ jobs_arg $ zipf_arg $ seed_arg $ shared_arg
       $ profile_seed_arg $ cache_capacity_arg $ tenant_quota_arg
-      $ corpus_size_arg $ serve_budget_arg $ metrics_out_arg $ threaded_arg
-      $ frame_pool_arg $ tier_policy_arg)
+      $ corpus_size_arg $ serve_budget_arg $ metrics_out_arg $ tier_policy_arg)
 
 (* --- exec --- *)
 
@@ -444,13 +402,11 @@ let exec_cmd =
           ~doc:
             "two-tier compilation: compile traces quickly first,              recompile hot ones through the full optimizer")
   in
-  let run file nojit tiered budget threaded frame_pool tier_policy =
-    apply_threaded threaded;
-    apply_frame_pool frame_pool;
+  let run file nojit tiered budget tier_policy =
     apply_tier_policy tier_policy;
     let src = In_channel.with_open_text file In_channel.input_all in
     let config =
-      with_threaded
+      with_tier_policy
         (Mtj_core.Config.with_budget budget
            (if nojit then Mtj_core.Config.no_jit
             else if tiered then Mtj_core.Config.two_tier
@@ -463,25 +419,15 @@ let exec_cmd =
       Printf.eprintf "[%s error: %s]\n" kind msg;
       exit 1
     in
+    let (module V) = R.vm_of (if is_scheme then B.Rk else B.Py) in
     let run_file () =
-      if is_scheme then begin
-        let outcome, vm = Mtj_rklite.Kvm.run ~config src in
-        ( (match outcome with
-          | Mtj_rjit.Driver.Completed _ -> "ok"
-          | Mtj_rjit.Driver.Budget_exceeded -> "budget exceeded"
-          | Mtj_rjit.Driver.Runtime_error e -> "error: " ^ e),
-          Mtj_rklite.Kvm.output vm,
-          Mtj_machine.Engine.total_insns (Mtj_rklite.Kvm.engine vm) )
-      end
-      else begin
-        let outcome, vm = Mtj_pylite.Vm.run ~config src in
-        ( (match outcome with
-          | Mtj_rjit.Driver.Completed _ -> "ok"
-          | Mtj_rjit.Driver.Budget_exceeded -> "budget exceeded"
-          | Mtj_rjit.Driver.Runtime_error e -> "error: " ^ e),
-          Mtj_pylite.Vm.output vm,
-          Mtj_machine.Engine.total_insns (Mtj_pylite.Vm.engine vm) )
-      end
+      let outcome, vm = V.run ~config src in
+      ( (match outcome with
+        | Mtj_rjit.Driver.Completed _ -> "ok"
+        | Mtj_rjit.Driver.Budget_exceeded -> "budget exceeded"
+        | Mtj_rjit.Driver.Runtime_error e -> "error: " ^ e),
+        V.output vm,
+        Mtj_machine.Engine.total_insns (V.engine vm) )
     in
     let outcome_str, output, insns =
       match run_file () with
@@ -501,7 +447,7 @@ let exec_cmd =
   Cmd.v (Cmd.info "exec" ~doc)
     Term.(
       const run $ file_arg $ nojit_arg $ tiered_arg $ budget_arg
-      $ threaded_arg $ frame_pool_arg $ tier_policy_arg)
+      $ tier_policy_arg)
 
 let () =
   let doc = "meta-tracing JIT workload characterization tools" in

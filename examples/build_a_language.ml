@@ -1,9 +1,10 @@
 (* The meta-JIT pitch, demonstrated: define a brand-new toy language in
-   ~100 lines — just its bytecode and a one-instruction step function —
-   and the framework gives it a tracing JIT, guards, deoptimization and
-   cross-layer profiling for free.  No JIT-specific code below: the
-   interpreter is written against the OPS seam and the generic driver
-   does the rest (the RPython value proposition from the paper's intro).
+   ~100 lines — its bytecode, a word-per-instruction front end and a
+   one-instruction step function — and [Vm.Make] gives it a tracing JIT,
+   guards, deoptimization and cross-layer profiling for free.  No
+   JIT-specific code below: the interpreter is written against the OPS
+   seam and the generic driver does the rest (the RPython value
+   proposition from the paper's intro).
 
      dune exec examples/build_a_language.exe *)
 
@@ -25,38 +26,63 @@ type instr =
 module Acc_lang = struct
   type code = instr array * int
 
-  let registry : (int, code) Hashtbl.t = Hashtbl.create 8
-  let next = ref 0
+  module Table = Code_table.Make (struct
+    type nonrec code = code
 
-  let register instrs =
-    let id = !next in
-    incr next;
-    let c = (instrs, id) in
-    Hashtbl.replace registry id c;
-    c
+    let id (_, id) = id
+    let first_id = 0
+    let lang_name = "acc"
+  end)
 
-  let code_ref (_, id) = id
-  let lookup_code id = Hashtbl.find registry id
   let nlocals _ = 8          (* eight registers *)
   let stack_size _ = 16
   let name (_, id) = Printf.sprintf "acc-%d" id
 
   (* loop headers: targets of backward jumps *)
-  let loop_header (instrs, _) pc =
-    let is_target = ref false in
+  let headers (instrs, _) =
+    let hs = Array.make (Array.length instrs) false in
     Array.iteri
       (fun src i ->
         match i with
-        | Jmp t | Jmpf t -> if t = pc && t <= src then is_target := true
+        | Jmp t | Jmpf t -> if t <= src then hs.(t) <- true
         | _ -> ())
       instrs;
-    !is_target
+    hs
 
   let opcode_at (instrs, _) pc =
     match instrs.(pc) with
     | Push _ -> 0 | Load _ -> 1 | Store _ -> 2 | Add -> 3 | Sub -> 4
     | Mul -> 5 | Mod -> 6 | Less -> 7 | Jmpf _ -> 8 | Jmp _ -> 9
     | Print -> 10 | Halt -> 11
+
+  (* the front end: one mnemonic per whitespace-separated word, operands
+     following their instruction *)
+  let compile src =
+    let rec parse = function
+      | [] -> []
+      | ("push" | "load" | "store" | "jmpf" | "jmp") :: arg :: rest as ws ->
+          let n = int_of_string arg in
+          (match List.hd ws with
+           | "push" -> Push n | "load" -> Load n | "store" -> Store n
+           | "jmpf" -> Jmpf n | _ -> Jmp n)
+          :: parse rest
+      | w :: rest ->
+          (match w with
+           | "add" -> Add | "sub" -> Sub | "mul" -> Mul | "mod" -> Mod
+           | "less" -> Less | "print" -> Print | "halt" -> Halt
+           | _ -> invalid_arg ("acc: bad instruction " ^ w))
+          :: parse rest
+    in
+    let words =
+      String.split_on_char '\n' src
+      |> List.concat_map (String.split_on_char ' ')
+      |> List.filter (( <> ) "")
+    in
+    let c = (Array.of_list (parse words), Table.fresh_id ()) in
+    Table.register c;
+    c
+
+  let install_globals _ _ = ()
 
   module Step (O : Ops_intf.OPS) = struct
     let step cx _globals (f : (O.t, code) Frame.t) =
@@ -95,67 +121,50 @@ module Acc_lang = struct
     let step_ref = step
   end
 
-  (* the threaded-dispatch tier, generic flavour: a language that wants
-     it for free wraps its reference step in one pre-bound closure per
-     pc (pylite/rklite go further and pre-decode operands per pc) *)
+  (* the threaded tier, generic flavour: wrap the reference step in one
+     pre-bound closure per pc (pylite/rklite go further and pre-decode
+     operands per pc) *)
   module D_ref = Step (Direct_ops)
 
-  let headers ((instrs, _) as c) =
-    Array.init (Array.length instrs) (loop_header c)
-
-  let threaded_tbl : (int, (Direct_ops.t, code) Threaded.step array) Hashtbl.t =
-    Hashtbl.create 8
-
-  let lookup_threaded c = Hashtbl.find_opt threaded_tbl (code_ref c)
-  let store_threaded c s = Hashtbl.replace threaded_tbl (code_ref c) s
-
-  let threaded_code dcx globals d ((instrs, _) as c) =
-    Array.init (Array.length instrs) (fun pc ->
+  let threaded_code dcx globals d c =
+    Array.mapi
+      (fun pc _ ->
         let target = opcode_at c pc in
         fun f ->
           Threaded.charge d ~target;
           D_ref.step_ref dcx globals f)
+      (fst c)
 end
 
-module Acc_vm = Driver.Make (Acc_lang)
+module Acc_vm = Vm.Make (Acc_lang)
 
 (* --- an Acc program: sum of i*i mod 9973 for i < 200000 --- *)
 
 let program =
-  Acc_lang.register
-    [|
-      (* r0 = i, r1 = acc *)
-      Push 0; Store 0;                            (* 0-1 *)
-      Push 0; Store 1;                            (* 2-3 *)
-      (* 4: loop header *)
-      Load 0; Push 60000; Less; Jmpf 21;         (* 4-7 *)
-      Load 0; Load 0; Mul;                        (* 8-10 *)
-      Load 1; Add; Push 9973; Mod; Store 1;       (* 11-15 *)
-      Load 0; Push 1; Add; Store 0;               (* 16-19 *)
-      Jmp 4;                                      (* 20 *)
-      (* 21: epilogue: print acc and its negation *)
-      Load 1; Print;                              (* 21-22 *)
-      Push 0; Load 1; Sub; Print;                 (* 23-26 *)
-      Halt;                                       (* 27 *)
-    |]
+  (* r0 = i, r1 = acc *)
+  "push 0 store 0\n\
+   push 0 store 1\n\
+   load 0 push 60000 less jmpf 21\n\
+   load 0 load 0 mul\n\
+   load 1 add push 9973 mod store 1\n\
+   load 0 push 1 add store 0\n\
+   jmp 4\n\
+   load 1 print\n\
+   push 0 load 1 sub print\n\
+   halt"
 
 let run jit =
-  (* cached threaded steps bind a run's engine; drop them between runs *)
-  Hashtbl.reset Acc_lang.threaded_tbl;
   let config =
     Mtj_core.Config.with_budget 100_000_000
       (if jit then Mtj_core.Config.default else Mtj_core.Config.no_jit)
   in
-  let rtc = Mtj_rt.Ctx.create ~config () in
-  let globals = Globals.create () in
-  let vm = Acc_vm.create ~profile:Mtj_core.Profile.rpython_interp rtc globals in
-  (match Acc_vm.run vm program with
-  | Driver.Completed _ -> ()
-  | Driver.Budget_exceeded -> failwith "budget"
-  | Driver.Runtime_error e -> failwith e);
-  let out = Buffer.contents (Mtj_rt.Ctx.out rtc) in
-  (out, Mtj_machine.Engine.total_cycles (Mtj_rt.Ctx.engine rtc),
-   Acc_vm.jitlog vm)
+  match Acc_vm.run ~config program with
+  | Driver.Completed _, vm ->
+      ( Acc_vm.output vm,
+        Mtj_machine.Engine.total_cycles (Acc_vm.engine vm),
+        Acc_vm.jitlog vm )
+  | Driver.Budget_exceeded, _ -> failwith "budget"
+  | Driver.Runtime_error e, _ -> failwith e
 
 let () =
   print_endline "A new language defined in ~100 lines, JIT included:\n";

@@ -16,7 +16,7 @@ type t = {
   insn_budget : int;
   sample_window : int;
   jit_enabled : bool;
-  threaded_interp : bool;
+  cache_key_pin : bool;
   frame_pool : bool;
   tier_policy : tier_policy;
   tier1_threshold : int;
@@ -43,7 +43,7 @@ let default =
     insn_budget = 20_000_000;
     sample_window = 100_000;
     jit_enabled = true;
-    threaded_interp = true;
+    cache_key_pin = true;
     frame_pool = true;
     tier_policy = Optimizing;
     tier1_threshold = 37;

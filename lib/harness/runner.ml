@@ -1,7 +1,8 @@
 (** Benchmark runner: executes one benchmark under one VM configuration
     with the full cross-layer instrumentation attached, and collects
     everything the paper's tables and figures need.  Results are memoized
-    per (benchmark, configuration) since several experiments share runs. *)
+    per (benchmark, VM configuration, simulated config) since several
+    experiments share runs. *)
 
 open Mtj_core
 open Mtj_rt
@@ -32,6 +33,10 @@ let config_name = function
   | Pycket_nojit -> "pycket-nojit"
   | Pycket_jit -> "pycket"
   | Native_c -> "c"
+
+let vm_of : B.lang -> (module Mtj_rjit.Vm.S) = function
+  | B.Py -> (module Mtj_pylite.Vm)
+  | B.Rk -> (module Mtj_rklite.Kvm)
 
 type status = Ok_run | Hit_budget | Failed of string
 
@@ -122,32 +127,6 @@ let jit_enabled = function
   | Pypy_jit | Pypy_tiered | Pypy_baseline | Pycket_jit -> true
   | _ -> false
 
-(* the --threaded-interp setting; 0 = auto (MTJ_THREADED_INTERP, else on) *)
-let threaded_setting = Atomic.make 0
-let set_threaded_interp b = Atomic.set threaded_setting (if b then 1 else 2)
-
-let threaded_interp () =
-  match Atomic.get threaded_setting with
-  | 1 -> true
-  | 2 -> false
-  | _ -> (
-      match Sys.getenv_opt "MTJ_THREADED_INTERP" with
-      | Some ("0" | "off" | "false" | "no") -> false
-      | _ -> true)
-
-(* the --frame-pool setting; 0 = auto (MTJ_FRAME_POOL, else on) *)
-let frame_pool_setting = Atomic.make 0
-let set_frame_pool b = Atomic.set frame_pool_setting (if b then 1 else 2)
-
-let frame_pool () =
-  match Atomic.get frame_pool_setting with
-  | 1 -> true
-  | 2 -> false
-  | _ -> (
-      match Sys.getenv_opt "MTJ_FRAME_POOL" with
-      | Some ("0" | "off" | "false" | "no") -> false
-      | _ -> true)
-
 (* the --tier-policy setting; None = auto (MTJ_TIER_POLICY, else the
    per-vm_config default: Pypy_tiered adaptive, Pypy_baseline baseline,
    everything else optimizing) *)
@@ -175,13 +154,6 @@ let config_of ?(budget = default_budget) vc =
     match (vc, tier_policy_override ()) with
     | (Pypy_jit | Pycket_jit), Some p -> { base with Config.tier_policy = p }
     | _ -> base
-  in
-  let base =
-    {
-      base with
-      Config.threaded_interp = threaded_interp ();
-      frame_pool = frame_pool ();
-    }
   in
   Config.with_budget budget base
 
@@ -246,8 +218,7 @@ let aot_ranking attrib =
              Some (Aot.src_letter (Aot.src fn), Aot.name fn, insns)
          | None -> None)
 
-let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
-  let config = config_of ?budget vc in
+let run_uncached config (bench_name : string) (vc : vm_config) : result =
   let finish ~bench ~status ~output ~ticks ~aot_top ~jit rtc tracker sampler =
     Mtj_pintool.Phase_tracker.finalize tracker;
     Mtj_pintool.Rate_sampler.finalize sampler;
@@ -286,6 +257,25 @@ let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
       dict_hash_skips = (Ctx.hstats rtc).Hstats.dict_hash_skips;
     }
   in
+  let hosted lang =
+    let (module V) = vm_of lang in
+    let b = B.find_exn ~lang bench_name in
+    let vm = V.create ~config ~profile:(profile_of vc) () in
+    let eng = V.engine vm in
+    let tracker = Mtj_pintool.Phase_tracker.attach eng in
+    let sampler = Mtj_pintool.Rate_sampler.attach eng in
+    let attrib = Mtj_pintool.Aot_attrib.attach eng in
+    let status =
+      match V.run_source vm b.B.source with
+      | Mtj_rjit.Driver.Completed _ -> Ok_run
+      | Mtj_rjit.Driver.Budget_exceeded -> Hit_budget
+      | Mtj_rjit.Driver.Runtime_error e -> Failed e
+    in
+    finish ~bench:(Some b) ~status ~output:(V.output vm) ~ticks:(-1)
+      ~aot_top:(aot_ranking attrib)
+      ~jit:(Some (jit_stats_of (V.jitlog vm)))
+      (V.rtc vm) tracker sampler
+  in
   match vc with
   | Native_c -> (
       match Mtj_baselines.Native.find bench_name with
@@ -301,40 +291,8 @@ let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
           in
           finish ~bench:None ~status ~output ~ticks:(-1) ~aot_top:[]
             ~jit:None rtc tracker sampler)
-  | Cpython | Pypy_nojit | Pypy_jit | Pypy_tiered | Pypy_baseline ->
-      let b = B.find_exn ~lang:B.Py bench_name in
-      let vm = Mtj_pylite.Vm.create ~config ~profile:(profile_of vc) () in
-      let eng = Mtj_pylite.Vm.engine vm in
-      let tracker = Mtj_pintool.Phase_tracker.attach eng in
-      let sampler = Mtj_pintool.Rate_sampler.attach eng in
-      let attrib = Mtj_pintool.Aot_attrib.attach eng in
-      let status =
-        match Mtj_pylite.Vm.run_source vm b.B.source with
-        | Mtj_rjit.Driver.Completed _ -> Ok_run
-        | Mtj_rjit.Driver.Budget_exceeded -> Hit_budget
-        | Mtj_rjit.Driver.Runtime_error e -> Failed e
-      in
-      finish ~bench:(Some b) ~status ~output:(Mtj_pylite.Vm.output vm)
-        ~ticks:(-1) ~aot_top:(aot_ranking attrib)
-        ~jit:(Some (jit_stats_of (Mtj_pylite.Vm.jitlog vm)))
-        (Mtj_pylite.Vm.rtc vm) tracker sampler
-  | Racket | Pycket_nojit | Pycket_jit ->
-      let b = B.find_exn ~lang:B.Rk bench_name in
-      let vm = Mtj_rklite.Kvm.create ~config ~profile:(profile_of vc) () in
-      let eng = Mtj_rklite.Kvm.engine vm in
-      let tracker = Mtj_pintool.Phase_tracker.attach eng in
-      let sampler = Mtj_pintool.Rate_sampler.attach eng in
-      let attrib = Mtj_pintool.Aot_attrib.attach eng in
-      let status =
-        match Mtj_rklite.Kvm.run_source vm b.B.source with
-        | Mtj_rjit.Driver.Completed _ -> Ok_run
-        | Mtj_rjit.Driver.Budget_exceeded -> Hit_budget
-        | Mtj_rjit.Driver.Runtime_error e -> Failed e
-      in
-      finish ~bench:(Some b) ~status ~output:(Mtj_rklite.Kvm.output vm)
-        ~ticks:(-1) ~aot_top:(aot_ranking attrib)
-        ~jit:(Some (jit_stats_of (Mtj_rklite.Kvm.jitlog vm)))
-        (Mtj_rklite.Kvm.rtc vm) tracker sampler
+  | Cpython | Pypy_nojit | Pypy_jit | Pypy_tiered | Pypy_baseline -> hosted B.Py
+  | Racket | Pycket_nojit | Pycket_jit -> hosted B.Rk
 
 (* --- memoized entry point --- *)
 
@@ -344,8 +302,15 @@ let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
    computed twice, and a racing duplicate would in any case store an
    identical (deterministic) result. *)
 
-let cache : (string * vm_config, result) Hashtbl.t = Hashtbl.create 128
-let run_walls : (string * vm_config, float) Hashtbl.t = Hashtbl.create 128
+(* keyed by the config the run simulates, not just its [vm_config]: a
+   budget or tier-policy override makes a different run *)
+type key = string * vm_config * Config.t
+
+let key_of ?budget bench_name vc : key =
+  (bench_name, vc, config_of ?budget vc)
+
+let cache : (key, result) Hashtbl.t = Hashtbl.create 128
+let run_walls : (key, float) Hashtbl.t = Hashtbl.create 128
 
 (* host minor-heap words allocated while simulating each run.
    [Gc.minor_words] is domain-local in OCaml 5 and each run executes
@@ -354,7 +319,7 @@ let run_walls : (string * vm_config, float) Hashtbl.t = Hashtbl.create 128
    reset it), so the value is deterministic for a deterministic
    simulation.  Kept out of stdout — only the timings JSON reports it —
    so table output stays byte-identical at any [-j]. *)
-let run_allocs : (string * vm_config, float) Hashtbl.t = Hashtbl.create 128
+let run_allocs : (key, float) Hashtbl.t = Hashtbl.create 128
 let cache_lock = Mutex.create ()
 
 let with_cache_lock f =
@@ -362,13 +327,13 @@ let with_cache_lock f =
   Fun.protect ~finally:(fun () -> Mutex.unlock cache_lock) f
 
 let run ?budget (bench_name : string) (vc : vm_config) : result =
-  let key = (bench_name, vc) in
+  let ((_, _, config) as key) = key_of ?budget bench_name vc in
   match with_cache_lock (fun () -> Hashtbl.find_opt cache key) with
   | Some r -> r
   | None ->
       let t0 = Unix.gettimeofday () in
       let mw0 = Gc.minor_words () in
-      let r = run_uncached ?budget bench_name vc in
+      let r = run_uncached config bench_name vc in
       let minor_words = Gc.minor_words () -. mw0 in
       let wall = Unix.gettimeofday () -. t0 in
       with_cache_lock (fun () ->
@@ -408,7 +373,8 @@ let prefetch ?jobs:j ?budget (pairs : (string * vm_config) list) =
   let seen = Hashtbl.create 64 in
   let pending =
     List.filter
-      (fun key ->
+      (fun (b, vc) ->
+        let key = key_of ?budget b vc in
         (not (Hashtbl.mem seen key))
         && begin
              Hashtbl.replace seen key ();
@@ -444,7 +410,7 @@ type run_timing = {
 let run_timings () : run_timing list =
   with_cache_lock (fun () ->
       Hashtbl.fold
-        (fun ((b, vc) as key) (r : result) acc ->
+        (fun ((b, vc, _) as key) (r : result) acc ->
           let wall =
             Option.value ~default:0.0 (Hashtbl.find_opt run_walls key)
           in

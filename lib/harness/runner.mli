@@ -1,10 +1,10 @@
 (** Benchmark runner: executes one benchmark under one VM configuration
     with the full cross-layer instrumentation attached, and collects
     everything the paper's tables and figures need.  Results are
-    memoized per (benchmark, configuration) since several experiments
-    share runs; {!prefetch} fills the cache from a pool of worker
-    domains, and the simulation is deterministic, so rendered output is
-    byte-identical at any [-j]. *)
+    memoized per (benchmark, VM configuration, simulated config) since
+    several experiments share runs; {!prefetch} fills the cache from a
+    pool of worker domains, and the simulation is deterministic, so
+    rendered output is byte-identical at any [-j]. *)
 
 (** The VM configurations of the paper's run matrix (Table II). *)
 type vm_config =
@@ -19,6 +19,9 @@ type vm_config =
   | Native_c       (** statically-compiled kernel *)
 
 val config_name : vm_config -> string
+
+val vm_of : Mtj_benchmarks.Registry.lang -> (module Mtj_rjit.Vm.S)
+(** The VM that hosts a language: [Mtj_pylite.Vm] or [Mtj_rklite.Kvm]. *)
 
 type status = Ok_run | Hit_budget | Failed of string
 
@@ -125,17 +128,18 @@ val profile_of : vm_config -> Mtj_core.Profile.t
 
 val config_of : ?budget:int -> vm_config -> Mtj_core.Config.t
 (** The {!Mtj_core.Config.t} a given [vm_config] runs under, with the
-    session's [--threaded-interp] / [--frame-pool] / [--tier-policy]
-    settings applied.  This is exactly the config {!run} builds; the
-    serving harness ({!Serve}) uses it so shared-cache keys reflect
-    every knob that affects compiled code. *)
+    session's [--tier-policy] setting applied.  This is exactly the
+    config {!run} builds; the serving harness ({!Serve}) uses it so
+    shared-cache keys reflect every knob that affects compiled code. *)
 
 (* --- running --- *)
 
 val run : ?budget:int -> string -> vm_config -> result
-(** Memoized: the first call per (benchmark, config) simulates, later
-    calls return the cached result.  Raises [Invalid_argument] for an
-    unknown benchmark name. *)
+(** Memoized: the first call per (benchmark, [vm_config], simulated
+    config) simulates, later calls return the cached result.  The key
+    holds the config the run simulates ({!config_of} at call time), so a
+    different budget or tier-policy override is a different run.
+    Raises [Invalid_argument] for an unknown benchmark name. *)
 
 val run_many :
   ?jobs:int -> ?budget:int -> (string * vm_config) list -> result list
@@ -160,30 +164,6 @@ val set_jobs : int -> unit
 
 val jobs : unit -> int
 
-(* --- the --threaded-interp setting --- *)
-
-val set_threaded_interp : bool -> unit
-(** Force the threaded-dispatch interpreter tier on or off for every
-    configuration built after the call.  Unset, the tier is "auto":
-    [MTJ_THREADED_INTERP] ("off"/"0"/"false"/"no" disables), else on.
-    Simulated counters are byte-identical either way; only host wall
-    time moves (see [Config.threaded_interp]). *)
-
-val threaded_interp : unit -> bool
-(** The effective setting a [config_of] call would apply right now. *)
-
-(* --- the --frame-pool setting --- *)
-
-val set_frame_pool : bool -> unit
-(** Force the frame pools on or off for every configuration built after
-    the call.  Unset, the pools are "auto": [MTJ_FRAME_POOL]
-    ("off"/"0"/"false"/"no" disables), else on.  Simulated counters are
-    byte-identical either way; only host allocation and wall time move
-    (see [Config.frame_pool]). *)
-
-val frame_pool : unit -> bool
-(** The effective setting a [config_of] call would apply right now. *)
-
 (* --- the --tier-policy setting --- *)
 
 val set_tier_policy : Mtj_core.Config.tier_policy -> unit
@@ -192,8 +172,7 @@ val set_tier_policy : Mtj_core.Config.tier_policy -> unit
     pin their policy by name and ignore the override).  Unset, the
     policy is "auto": [MTJ_TIER_POLICY]
     ("optimizing"/"baseline"/"adaptive"), else each config's default.
-    Unlike the dispatch/pool toggles this {e changes simulated
-    behavior}: compile costs, warmup and trace tiers all move with the
+    This {e changes simulated behavior}: compile costs, warmup and trace tiers all move with the
     policy. *)
 
 val tier_policy_override : unit -> Mtj_core.Config.tier_policy option

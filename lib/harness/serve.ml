@@ -11,7 +11,7 @@
       cross-request state is a per-session {!Mtj_rjit.Sharedcache},
       which stores immutable compiled-program bundles (and the trace
       profiles their publishers attach) keyed by (language, program,
-      config digest).  Trace and threaded-interpreter translations
+      config digest).  Trace and interpreter step-array translations
       close over their context and are never shared; see DESIGN.md §3k
       and §3m.
 
@@ -144,14 +144,6 @@ let gen_requests ~corpus ~requests ~zipf_s ~seed =
 
 (* --- per-request execution --- *)
 
-(* the shared cache stores language-layer bundles through the
-   extensible entry type; unknown constructors are treated as a miss *)
-type Sharedcache.entry +=
-  | Py_bundle of Mtj_pylite.Vm.bundle
-  | Rk_bundle of Mtj_rklite.Kvm.bundle
-
-let lang_name = function B.Py -> "py" | B.Rk -> "rk"
-
 let status_of = function
   | Mtj_rjit.Driver.Completed _ -> "ok"
   | Mtj_rjit.Driver.Budget_exceeded -> "budget"
@@ -184,16 +176,22 @@ let digest_of ~status ~insns ~cycles ~output ~(gc : Mtj_rt.Gc_sim.stats)
 let out_digest_of ~status ~output =
   Digest.to_hex (Digest.string (status ^ "|" ^ output))
 
-let run_py ~shared ~profile_seed ~cache ~config ~cfg_digest (req : request) =
-  let b = B.find_exn ~lang:B.Py req.req_bench in
-  let vm = Mtj_pylite.Vm.create ~config () in
+(* the shared cache stores each language's bundles through its VM's
+   [Bundle] constructor; any other entry under the key is a miss *)
+let run_one ~shared ~profile_seed ~cache ~config ~cfg_digest (req : request) :
+    record =
+  let t0 = Unix.gettimeofday () in
+  let (module V) = Runner.vm_of req.req_lang in
+  let b = B.find_exn ~lang:req.req_lang req.req_bench in
+  let vm = V.create ~config () in
   let key =
-    Sharedcache.key ~lang:"py" ~program:req.req_bench ~config_digest:cfg_digest
+    Sharedcache.key ~lang:V.lang_name ~program:req.req_bench
+      ~config_digest:cfg_digest
   in
-  let tenant = "py:" ^ req.req_bench in
-  let uid = Ctx.uid (Mtj_pylite.Vm.rtc vm) in
+  let tenant = V.lang_name ^ ":" ^ req.req_bench in
+  let uid = Ctx.uid (V.rtc vm) in
   let warm, seeded, published, outcome =
-    if not shared then (false, false, false, Mtj_pylite.Vm.run_source vm b.B.source)
+    if not shared then (false, false, false, V.run_source vm b.B.source)
     else
       let lookup () =
         if profile_seed then Sharedcache.find_with_profile cache ~ctx_uid:uid key
@@ -203,25 +201,23 @@ let run_py ~shared ~profile_seed ~cache ~config ~cfg_digest (req : request) =
           | None -> None
       in
       match lookup () with
-      | Some (Py_bundle bu, prof) ->
-          Mtj_pylite.Vm.import_bundle vm bu;
-          Jitlog.record_shared_code_hits (Mtj_pylite.Vm.jitlog vm)
-            ~n:(Mtj_pylite.Vm.bundle_size bu);
+      | Some (V.Bundle bu, prof) ->
+          V.import_bundle vm bu;
+          Jitlog.record_shared_code_hits (V.jitlog vm) ~n:(V.bundle_size bu);
           let seeded =
             match prof with
             | Some p ->
-                Mtj_pylite.Vm.seed_profile vm p;
+                V.seed_profile vm p;
                 true
             | None -> false
           in
-          (true, seeded, false, Mtj_pylite.Vm.run_bundle vm bu)
+          (true, seeded, false, V.run_bundle vm bu)
       | Some _ | None ->
-          let bu = Mtj_pylite.Vm.compile_bundle b.B.source in
+          let bu = V.compile_bundle b.B.source in
           let pr =
-            Sharedcache.publish cache ~ctx_uid:uid ~tenant key (Py_bundle bu)
+            Sharedcache.publish cache ~ctx_uid:uid ~tenant key (V.Bundle bu)
           in
-          (false, false, pr = Sharedcache.Published,
-           Mtj_pylite.Vm.run_bundle vm bu)
+          (false, false, pr = Sharedcache.Published, V.run_bundle vm bu)
   in
   let status = status_of outcome in
   (match outcome with
@@ -234,103 +230,27 @@ let run_py ~shared ~profile_seed ~cache ~config ~cfg_digest (req : request) =
          its execution is a pure function of the key, so whichever
          racer wins, the attached profile is byte-identical *)
       if published && profile_seed then
-        ignore
-          (Sharedcache.attach_profile cache key
-             (Mtj_pylite.Vm.export_profile vm)));
-  let eng = Mtj_pylite.Vm.engine vm in
-  let jl = Mtj_pylite.Vm.jitlog vm in
-  let output = Mtj_pylite.Vm.output vm in
-  ( warm,
-    seeded,
-    status,
-    jl.Jitlog.shared_code_hits,
-    jl.Jitlog.first_entry_insns,
+        ignore (Sharedcache.attach_profile cache key (V.export_profile vm)));
+  let eng = V.engine vm in
+  let jl = V.jitlog vm in
+  let output = V.output vm in
+  let digest =
     digest_of ~status ~insns:(Engine.total_insns eng)
       ~cycles:(Engine.total_cycles eng) ~output
-      ~gc:(Mtj_rt.Gc_sim.stats (Ctx.gc (Mtj_pylite.Vm.rtc vm)))
-      ~jl,
-    out_digest_of ~status ~output )
-
-let run_rk ~shared ~profile_seed ~cache ~config ~cfg_digest (req : request) =
-  let b = B.find_exn ~lang:B.Rk req.req_bench in
-  let vm = Mtj_rklite.Kvm.create ~config () in
-  let key =
-    Sharedcache.key ~lang:"rk" ~program:req.req_bench ~config_digest:cfg_digest
+      ~gc:(Mtj_rt.Gc_sim.stats (Ctx.gc (V.rtc vm)))
+      ~jl
   in
-  let tenant = "rk:" ^ req.req_bench in
-  let uid = Ctx.uid (Mtj_rklite.Kvm.rtc vm) in
-  let warm, seeded, published, outcome =
-    if not shared then (false, false, false, Mtj_rklite.Kvm.run_source vm b.B.source)
-    else
-      let lookup () =
-        if profile_seed then Sharedcache.find_with_profile cache ~ctx_uid:uid key
-        else
-          match Sharedcache.find cache ~ctx_uid:uid key with
-          | Some e -> Some (e, None)
-          | None -> None
-      in
-      match lookup () with
-      | Some (Rk_bundle bu, prof) ->
-          Mtj_rklite.Kvm.import_bundle vm bu;
-          Jitlog.record_shared_code_hits (Mtj_rklite.Kvm.jitlog vm)
-            ~n:(Mtj_rklite.Kvm.bundle_size bu);
-          let seeded =
-            match prof with
-            | Some p ->
-                Mtj_rklite.Kvm.seed_profile vm p;
-                true
-            | None -> false
-          in
-          (true, seeded, false, Mtj_rklite.Kvm.run_bundle vm bu)
-      | Some _ | None ->
-          let bu = Mtj_rklite.Kvm.compile_bundle b.B.source in
-          let pr =
-            Sharedcache.publish cache ~ctx_uid:uid ~tenant key (Rk_bundle bu)
-          in
-          (false, false, pr = Sharedcache.Published,
-           Mtj_rklite.Kvm.run_bundle vm bu)
-  in
-  let status = status_of outcome in
-  (match outcome with
-  | Mtj_rjit.Driver.Runtime_error _ when shared ->
-      Sharedcache.invalidate cache key
-  | _ ->
-      if published && profile_seed then
-        ignore
-          (Sharedcache.attach_profile cache key
-             (Mtj_rklite.Kvm.export_profile vm)));
-  let eng = Mtj_rklite.Kvm.engine vm in
-  let jl = Mtj_rklite.Kvm.jitlog vm in
-  let output = Mtj_rklite.Kvm.output vm in
-  ( warm,
-    seeded,
-    status,
-    jl.Jitlog.shared_code_hits,
-    jl.Jitlog.first_entry_insns,
-    digest_of ~status ~insns:(Engine.total_insns eng)
-      ~cycles:(Engine.total_cycles eng) ~output
-      ~gc:(Mtj_rt.Gc_sim.stats (Ctx.gc (Mtj_rklite.Kvm.rtc vm)))
-      ~jl,
-    out_digest_of ~status ~output )
-
-let run_one ~shared ~profile_seed ~cache ~config ~cfg_digest (req : request) :
-    record =
-  let t0 = Unix.gettimeofday () in
-  let warm, seeded, status, shared_hits, first_entry, digest, out_digest =
-    match req.req_lang with
-    | B.Py -> run_py ~shared ~profile_seed ~cache ~config ~cfg_digest req
-    | B.Rk -> run_rk ~shared ~profile_seed ~cache ~config ~cfg_digest req
-  in
+  let out_digest = out_digest_of ~status ~output in
   {
     r_id = req.req_id;
     r_bench = req.req_bench;
-    r_lang = lang_name req.req_lang;
+    r_lang = V.lang_name;
     r_status = status;
     r_warm = warm;
     r_seeded = seeded;
     r_wall_s = Unix.gettimeofday () -. t0;
-    r_shared_code_hits = shared_hits;
-    r_first_entry_insns = first_entry;
+    r_shared_code_hits = jl.Jitlog.shared_code_hits;
+    r_first_entry_insns = jl.Jitlog.first_entry_insns;
     r_digest = digest;
     r_out_digest = out_digest;
   }
@@ -355,7 +275,7 @@ let serve ?jobs ?(budget = default_budget) ?(zipf_s = 1.1) ?(seed = 42)
     Sharedcache.create ~capacity:cache_capacity ~tenant_quota ()
   in
   (* the serving config: the plain meta-tracing JIT under the session's
-     threaded/frame-pool/tier-policy settings, per-request budget *)
+     tier-policy setting, per-request budget *)
   let config = Runner.config_of ~budget Runner.Pypy_jit in
   let cfg_digest = Digest.to_hex (Digest.string (Marshal.to_string config [])) in
   let reqs =

@@ -43,7 +43,7 @@ val run_json :
 (** The full record for one benchmark run.  [ticks] is the
     application-level dispatch-tick total when a {!Sink} counted one;
     [hstats] carries the host fast-path counters (v5: interned-value
-    hits, frame-pool reuses, precomputed-hash skips) — absent, the
+    hits, frame pool reuses, precomputed-hash skips) — absent, the
     fields are [null]. *)
 
 val document : ?serve:Json.t -> runs:Json.t list -> unit -> Json.t

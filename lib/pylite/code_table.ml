@@ -1,85 +1,11 @@
-(** Registry of compiled pylite code objects, resolving the [code_ref]s
-    carried by function values and resume snapshots.
+(** Registry of compiled pylite code objects: one domain-local table,
+    reset per VM, with ids starting at zero (see
+    {!Mtj_rjit.Code_table}). *)
 
-    The table is domain-local: a VM is created, compiled and run on one
-    domain, and resolves only its own code objects, so domains never
-    share entries (and never race).  {!reset} — called from [Vm.create]
-    — restarts the id sequence at zero, which matters because code ids
-    feed branch-predictor site hashes in the driver: with a per-VM id
-    sequence, a run's simulated behaviour is independent of whatever ran
-    before it, on any domain.  Entries of a previous VM on the same
-    domain are dropped by the reset; they are unreachable by then (a VM
-    only resolves code_refs while it runs). *)
+include Mtj_rjit.Code_table.Make (struct
+  type code = Bytecode.code
 
-type threaded =
-  (Mtj_rjit.Direct_ops.t, Bytecode.code) Mtj_rjit.Threaded.step array
-(** a code object's threaded-dispatch translation (see
-    {!Mtj_rjit.Threaded} and [Interp.threaded_code]) *)
-
-type store = {
-  table : (int, Bytecode.code) Hashtbl.t;
-  threaded : (int, threaded) Hashtbl.t;
-      (* translate-once cache, keyed by code id.  Step closures bind the
-         translating VM's engine and context, so this cache MUST be
-         dropped whenever the id sequence restarts — [reset] clears it
-         together with the code table. *)
-  mutable next_id : int;
-}
-
-let store_key : store Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { table = Hashtbl.create 256; threaded = Hashtbl.create 64; next_id = 0 })
-
-let reset () =
-  let s = Domain.DLS.get store_key in
-  Hashtbl.reset s.table;
-  Hashtbl.reset s.threaded;
-  s.next_id <- 0
-
-let fresh_id () =
-  let s = Domain.DLS.get store_key in
-  let id = s.next_id in
-  s.next_id <- id + 1;
-  id
-
-let register (c : Bytecode.code) =
-  Hashtbl.replace (Domain.DLS.get store_key).table c.Bytecode.id c
-
-let lookup id =
-  match Hashtbl.find_opt (Domain.DLS.get store_key).table id with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "unknown pylite code_ref %d" id)
-
-let lookup_threaded id =
-  Hashtbl.find_opt (Domain.DLS.get store_key).threaded id
-
-let store_threaded id (s : threaded) =
-  Hashtbl.replace (Domain.DLS.get store_key).threaded id s
-
-(* --- compiled-program bundles (the shared serving cache) ---
-
-   Bytecode is immutable and its constants are immediate scalars, so a
-   freshly compiled program's table contents — every code object plus
-   the id watermark — form a context-free artifact that can cross
-   domains.  [export_bundle] snapshots them right after a fresh
-   reset+compile; [import_bundle] rebuilds an identical table state on
-   any domain, so a warm request resolves the very same code_refs a
-   cold compile would have produced (ids are deterministic because the
-   sequence always restarts at zero).  The threaded cache is dropped on
-   import for the usual reason: step closures bind the translating VM's
-   context and must never be reused across VMs. *)
-
-let export_bundle () =
-  let s = Domain.DLS.get store_key in
-  let codes = Hashtbl.fold (fun _ c acc -> c :: acc) s.table [] in
-  ( List.sort
-      (fun (a : Bytecode.code) b -> compare a.Bytecode.id b.Bytecode.id)
-      codes,
-    s.next_id )
-
-let import_bundle codes ~next_id =
-  let s = Domain.DLS.get store_key in
-  Hashtbl.reset s.table;
-  Hashtbl.reset s.threaded;
-  List.iter (fun (c : Bytecode.code) -> Hashtbl.replace s.table c.Bytecode.id c) codes;
-  s.next_id <- next_id
+  let id (c : code) = c.Bytecode.id
+  let first_id = 0
+  let lang_name = "py"
+end)

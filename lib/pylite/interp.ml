@@ -7,6 +7,11 @@
     side effect, and [pc] is committed last. *)
 
 open Mtj_rt
+
+(* pylite's code table: [open Mtj_rjit] below shadows the name with the
+   framework's [Code_table] functor module *)
+module Codes = Code_table
+
 open Mtj_rjit
 open Bytecode
 
@@ -66,7 +71,7 @@ module Step (O : Ops_intf.OPS) = struct
           if fn.Value.arity <> nargs then
             err "%s() takes %d arguments (%d given)" fn.Value.func_name
               fn.Value.arity nargs;
-          let code = Code_table.lookup fn.Value.code_ref in
+          let code = Codes.lookup fn.Value.code_ref in
           f.Frame.pc <- f.Frame.pc + 1;
           let nf = make_frame cx code (Some f) in
           Array.blit args 0 nf.Frame.locals 0 nargs;
@@ -79,7 +84,7 @@ module Step (O : Ops_intf.OPS) = struct
             if initf.Value.arity <> nargs + 1 then
               err "__init__ takes %d arguments (%d given)" initf.Value.arity
                 (nargs + 1);
-            let code = Code_table.lookup initf.Value.code_ref in
+            let code = Codes.lookup initf.Value.code_ref in
             Frame.push f inst;
             f.Frame.pc <- f.Frame.pc + 1;
             let nf = make_frame cx code (Some f) in
@@ -351,7 +356,7 @@ module Step (O : Ops_intf.OPS) = struct
               Array.copy pc.Value.layout
           | _ -> [||]
         in
-        let next_cls_id = Code_table.fresh_id () in
+        let next_cls_id = Codes.fresh_id () in
         let cls =
           Gc_sim.obj
             (Ctx.gc (O.rt cx))
@@ -367,13 +372,13 @@ module Step (O : Ops_intf.OPS) = struct
         Frame.push f (O.const cx cls);
         next ()
 
-  (* the reference decode-and-match loop, under the name the driver and
-     the threaded tier know it by *)
+  (* the decode-and-match handler, under the name [Driver.LANG] knows it
+     by *)
   let step_ref = step
 end
 
 (* ------------------------------------------------------------------ *)
-(* The threaded-dispatch tier (the pylite half of {!Mtj_rjit.Threaded}).
+(* Threaded dispatch (the pylite half of {!Mtj_rjit.Threaded}).
 
    Each code object is translated once into an array of pre-bound step
    closures over [Direct_ops]: operands are decoded at translate time
@@ -382,8 +387,8 @@ end
    superinstructions.  Every step emits exactly the charge sequence of
    one reference dispatch iteration — [Threaded.charge] first, then the
    handler's operations in reference order — so simulated counters are
-   byte-identical to [Step(Direct_ops).step_ref] (held by
-   test/test_dispatch_diff.ml).  Cold bytecodes delegate to the
+   byte-identical to [Step(Direct_ops).step_ref] (held against the
+   test/ref_dispatch.ml oracle by test/test_dispatch_diff.ml).  Cold bytecodes delegate to the
    reference handler so the tricky semantics (calls, classes, builders)
    exist exactly once. *)
 
@@ -419,7 +424,7 @@ let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
      every code_ref a step could bind right now *)
   Array.iter
     (function
-      | MAKE_FUNCTION { code_ref; _ } -> ignore (Code_table.lookup code_ref)
+      | MAKE_FUNCTION { code_ref; _ } -> ignore (Codes.lookup code_ref)
       | _ -> ())
     instrs;
   (* the pre-bound standalone step of one bytecode *)

@@ -6,129 +6,58 @@
     JIT) it models the reference CPython interpreter (Table I's three
     configurations). *)
 
-open Mtj_core
 open Mtj_rt
-open Mtj_rjit
+module Builtin = Mtj_rjit.Builtin
+module Builtins_impl = Mtj_rjit.Builtins_impl
+module Globals = Mtj_rjit.Globals
 
-module Lang : Threaded.LANG with type code = Bytecode.code = struct
+module Lang : Mtj_rjit.Driver.LANG with type code = Bytecode.code = struct
   type code = Bytecode.code
 
-  let code_ref (c : code) = c.Bytecode.id
-  let lookup_code = Code_table.lookup
+  module Table = Code_table
+
   let nlocals (c : code) = c.Bytecode.nlocals
   let stack_size (c : code) = c.Bytecode.stacksize
-  let loop_header (c : code) pc = c.Bytecode.headers.(pc)
-  let opcode_at (c : code) pc = Bytecode.tag c.Bytecode.instrs.(pc)
   let name (c : code) = c.Bytecode.name
+  let headers (c : code) = c.Bytecode.headers
 
   module Step = Interp.Step
 
-  (* the threaded-dispatch tier (Config.threaded_interp) *)
-  let headers (c : code) = c.Bytecode.headers
   let threaded_code = Interp.threaded_code
-  let lookup_threaded (c : code) = Code_table.lookup_threaded c.Bytecode.id
-  let store_threaded (c : code) s = Code_table.store_threaded c.Bytecode.id s
+  let compile = Compiler.compile_source
+
+  (* names exposed as module-level globals *)
+  let global_builtins =
+    Builtin.
+      [ Len; Range2; Abs; Min2; Max2; Ord; Chr; To_int; To_float; To_str;
+        Repr; Print; Sorted; Hashf; Sio_new; Annotate; Bigint_of; Powf;
+        Encode_json ]
+
+  let install_globals rtc globals =
+    List.iter
+      (fun b ->
+        Globals.define globals (Builtin.name b) (Builtins_impl.builtin_value rtc b))
+      global_builtins;
+    (* the math module is modelled as a class object with builtin attrs *)
+    let math_attrs =
+      [ ("sqrt", Builtin.Sqrt); ("sin", Builtin.Sin); ("cos", Builtin.Cos);
+        ("floor", Builtin.Floor_f); ("pow", Builtin.Powf) ]
+    in
+    let math =
+      Gc_sim.obj (Ctx.gc rtc)
+        (Value.Class
+           {
+             Value.cls_id = -1;
+             cls_name = "math";
+             layout = [||];
+             attrs =
+               List.map
+                 (fun (n, b) -> (n, Builtins_impl.builtin_value rtc b))
+                 math_attrs;
+             parent = None;
+           })
+    in
+    Globals.define globals "math" math
 end
 
-module D = Driver.Make (Lang)
-
-type t = { rtc : Ctx.t; driver : D.t }
-
-(* names exposed as module-level globals *)
-let global_builtins =
-  Builtin.
-    [ Len; Range2; Abs; Min2; Max2; Ord; Chr; To_int; To_float; To_str;
-      Repr; Print; Sorted; Hashf; Sio_new; Annotate; Bigint_of; Powf;
-      Encode_json ]
-
-let bind_builtins rtc globals =
-  List.iter
-    (fun b ->
-      Globals.define globals (Builtin.name b) (Builtins_impl.builtin_value rtc b))
-    global_builtins;
-  (* the math module is modelled as a class object with builtin attrs *)
-  let math_attrs =
-    [ ("sqrt", Builtin.Sqrt); ("sin", Builtin.Sin); ("cos", Builtin.Cos);
-      ("floor", Builtin.Floor_f); ("pow", Builtin.Powf) ]
-  in
-  let math =
-    Gc_sim.obj (Ctx.gc rtc)
-      (Value.Class
-         {
-           Value.cls_id = -1;
-           cls_name = "math";
-           layout = [||];
-           attrs =
-             List.map
-               (fun (n, b) -> (n, Builtins_impl.builtin_value rtc b))
-               math_attrs;
-           parent = None;
-         })
-  in
-  Globals.define globals "math" math
-
-let create ?(config = Config.default) ?(profile = Profile.rpython_interp) () =
-  (* fresh per-VM code-id sequence: simulated behaviour must not depend
-     on what compiled before us on this domain (see Code_table) *)
-  Code_table.reset ();
-  let rtc = Ctx.create ~config () in
-  let globals = Globals.create () in
-  bind_builtins rtc globals;
-  let driver = D.create ~profile rtc globals in
-  { rtc; driver }
-
-let rtc t = t.rtc
-let engine t = Ctx.engine t.rtc
-let jitlog t = D.jitlog t.driver
-let globals t = D.globals t.driver
-let output t = Buffer.contents (Ctx.out t.rtc)
-
-let compile = Compiler.compile_source
-
-let run_code t (code : Bytecode.code) : Driver.outcome = D.run t.driver code
-
-let run_source t (src : string) : Driver.outcome =
-  run_code t (compile src)
-
-(* --- compiled-program bundles (the shared serving cache) ---
-
-   A bundle is everything one source string compiles to: the entry code
-   object, every code object it registered, and the id watermark.  All
-   of it is immutable bytecode with scalar constants, so a bundle is
-   context-free and may be published to [Mtj_rjit.Sharedcache] and
-   imported by a VM on any domain.  Importing reproduces exactly the
-   code-table state a fresh compile would have built (ids restart at
-   zero per VM), so a warm request's simulated behaviour is
-   byte-identical to a cold one's: compilation itself charges nothing
-   to the simulated machine, only host wall time. *)
-
-type bundle = {
-  b_entry : Bytecode.code;
-  b_codes : Bytecode.code list;  (* sorted by id; includes [b_entry] *)
-  b_next_id : int;
-}
-
-let bundle_size b = List.length b.b_codes
-
-let compile_bundle src =
-  let entry = compile src in
-  let codes, next_id = Code_table.export_bundle () in
-  { b_entry = entry; b_codes = codes; b_next_id = next_id }
-
-(* must run after [create] (which reset the table) and before the VM
-   executes anything that resolves a code_ref *)
-let import_bundle (_ : t) b =
-  Code_table.import_bundle b.b_codes ~next_id:b.b_next_id
-
-let run_bundle t b : Driver.outcome = run_code t b.b_entry
-
-(* trace-profile seeding (DESIGN.md §3m): export after an unseeded run,
-   seed a fresh importer before it executes anything *)
-let export_profile t = D.export_profile t.driver
-let seed_profile t p = D.seed_profile t.driver p
-
-(** convenience: fresh VM, run source, return (outcome, vm) *)
-let run ?config ?profile src =
-  let t = create ?config ?profile () in
-  let outcome = run_source t src in
-  (outcome, t)
+include Mtj_rjit.Vm.Make (Lang)

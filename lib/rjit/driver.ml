@@ -4,11 +4,10 @@
     Instantiated once per hosted language (pylite, rklite).  The driver
     owns the mode transitions of Figure 1/3 of the paper:
 
-    - {b interpreter}: the dispatch loop runs [Step(Direct_ops)], emitting
-      one [Dispatch_tick] annotation and one indirect dispatch branch per
-      bytecode — either through the reference decode-and-match loop or,
-      by default, through the {!Threaded} tier's translate-once step
-      arrays (same simulated charges, cheaper host dispatch);
+    - {b interpreter}: the dispatch loop runs each code object's
+      {!Threaded} step array, translated once from the language's
+      handlers, emitting one [Dispatch_tick] annotation and one indirect
+      dispatch branch per bytecode;
     - {b tracing}: when a loop header's counter crosses the threshold the
       same handlers run as [Step(Trace_ops)], recording IR until the loop
       closes (or the trace aborts);
@@ -25,8 +24,58 @@ type outcome =
   | Budget_exceeded
   | Runtime_error of string
 
-module Make (L : Threaded.LANG) = struct
-  module D = L.Step (Direct_ops)
+(** What a hosted language provides to the framework — the one
+    signature every front end implements (DESIGN.md §3o).  {!Make}
+    builds the driver from it and [Vm.Make] the VM surface.  Handlers
+    follow the discipline documented in {!Ops_intf}. *)
+module type LANG = sig
+  type code
+  (** a compiled code object (function body or module toplevel) *)
+
+  module Table : Code_table.S with type code = code
+  (** the domain-local code registry: [Table.id] is a code object's
+      [code_ref], [Table.lookup] resolves one back (deoptimization),
+      [Table.lang_name] is the language's short name *)
+
+  val nlocals : code -> int
+  val stack_size : code -> int
+  val name : code -> string
+
+  val headers : code -> bool array
+  (** the loop-header bitmap: which pcs are hot-loop merge points
+      (backward-jump targets) *)
+
+  module Step (O : Ops_intf.OPS) : sig
+    val step_ref :
+      O.cx -> Globals.t -> (O.t, code) Frame.t -> (O.t, code) Frame.outcome
+    (** Execute exactly one bytecode — the decode-and-match handler.  A
+        [Call] outcome must return a frame whose [parent] is already set
+        to the current frame.  The [Trace_ops] meta-interpreter records
+        through this; threaded translators reuse the [Direct_ops]
+        instance as the pre-bound body of cold bytecodes. *)
+  end
+
+  val threaded_code :
+    Direct_ops.cx ->
+    Globals.t ->
+    Threaded.dispatch ->
+    code ->
+    (Direct_ops.t, code) Threaded.step array
+  (** translate [code] once into its pre-bound step array (cached in
+      [Table] by the driver); each step emits {!Threaded.charge}'s
+      sequence and then the handler's.  Raises [Invalid_argument] if
+      an instruction names a [code_ref] the table cannot resolve (stale
+      tables fail at translation, not mid-run) *)
+
+  val compile : string -> code
+  (** the front end: parse and compile a program, registering its code
+      objects in [Table]; raises the language's syntax/compile errors *)
+
+  val install_globals : Ctx.t -> Globals.t -> unit
+  (** bind the language's builtins into a fresh VM's globals *)
+end
+
+module Make (L : LANG) = struct
   module T = L.Step (Trace_ops)
 
   type site = {
@@ -64,7 +113,7 @@ module Make (L : Threaded.LANG) = struct
     mutable cur : dframe option;        (* GC roots: direct frames *)
     mutable tracking : tframe option;   (* GC roots: tracked frames *)
     mutable translated_refs : int list;
-        (* code_refs this driver translated to threaded step arrays,
+        (* code_refs this driver translated to step arrays,
            newest first — exported (sorted) in the trace profile *)
   }
 
@@ -137,7 +186,7 @@ module Make (L : Threaded.LANG) = struct
 
   let make_dframe t code parent : dframe =
     Frame.create_pooled ~pool:(Ctx.frame_pool t.rtc) ~code
-      ~code_ref:(L.code_ref code) ~nlocals:(L.nlocals code)
+      ~code_ref:(L.Table.id code) ~nlocals:(L.nlocals code)
       ~stack_size:(L.stack_size code) ~parent
 
   (* --- resume snapshots over tracked frames --- *)
@@ -256,7 +305,7 @@ module Make (L : Threaded.LANG) = struct
       (List.map
          (fun (d : Executor.deopt_frame) ->
            {
-             s_code = L.lookup_code d.Executor.df_code;
+             s_code = L.Table.lookup d.Executor.df_code;
              s_pc = d.Executor.df_pc;
              s_locals = d.Executor.df_locals;
              s_stack = d.Executor.df_stack;
@@ -459,7 +508,7 @@ module Make (L : Threaded.LANG) = struct
     let bottom_to_top =
       List.fold_left
         (fun parent (d : Executor.deopt_frame) ->
-          let code = L.lookup_code d.Executor.df_code in
+          let code = L.Table.lookup d.Executor.df_code in
           let f : tframe =
             Frame.create_pooled ~pool:(Recorder.pool rec_) ~code
               ~code_ref:d.Executor.df_code ~nlocals:(L.nlocals code)
@@ -704,54 +753,52 @@ module Make (L : Threaded.LANG) = struct
       | Frame.Continue -> exec_steps_jit steps headers f
       | oc -> oc
 
+  (* Translate [code] to its step array (first sight in this VM) and
+     cache it in the language's table. *)
+  let translate t code_ref code =
+    let d =
+      {
+        Threaded.d_eng = Ctx.engine t.rtc;
+        d_tab = t.charge_tab;
+        d_site = 200_000 + (code_ref land 1023);
+        d_indirect = t.profile.Profile.dispatch_indirect;
+      }
+    in
+    let s = L.threaded_code t.dcx t.globals d code in
+    L.Table.store_threaded code_ref s;
+    Jitlog.record_interp_translation t.jitlog;
+    t.translated_refs <- code_ref :: t.translated_refs;
+    s
+
   let run_frame t (frame0 : dframe) : outcome =
     let eng = Ctx.engine t.rtc in
     let jit_on = t.cfg.Config.jit_enabled in
-    let threaded = t.cfg.Config.threaded_interp in
     let cur = ref frame0 in
     t.cur <- Some frame0;
     let result = ref None in
-    (* threaded tier: the step array and header bitmap of the code object
-       the current frame runs, re-fetched (translating on first sight)
-       whenever the running code changes — calls, returns, deopt
-       rebuilds all funnel through a single int compare per iteration *)
+    (* the step array and header bitmap of the code object the current
+       frame runs, re-fetched (translating on first sight) whenever the
+       running code changes — calls, returns, deopt rebuilds all funnel
+       through a single int compare per iteration *)
     let steps : (Value.t, L.code) Threaded.step array ref = ref [||] in
     let headers = ref [||] in
     let steps_for = ref min_int in
-    let fetch_threaded (f : dframe) =
-      (match L.lookup_threaded f.Frame.code with
+    let fetch (f : dframe) =
+      (match L.Table.lookup_threaded f.Frame.code_ref with
       | Some s ->
           Jitlog.record_threaded_code_hit t.jitlog;
           steps := s
-      | None ->
-          let d =
-            {
-              Threaded.d_eng = eng;
-              d_tab = t.charge_tab;
-              d_site = 200_000 + (f.Frame.code_ref land 1023);
-              d_indirect = t.profile.Profile.dispatch_indirect;
-            }
-          in
-          let s = L.threaded_code t.dcx t.globals d f.Frame.code in
-          L.store_threaded f.Frame.code s;
-          Jitlog.record_interp_translation t.jitlog;
-          t.translated_refs <- f.Frame.code_ref :: t.translated_refs;
-          steps := s);
+      | None -> steps := translate t f.Frame.code_ref f.Frame.code);
       headers := L.headers f.Frame.code;
       steps_for := f.Frame.code_ref
     in
     (try
        while !result == None do
          let f = !cur in
-         if threaded && f.Frame.code_ref <> !steps_for then fetch_threaded f;
+         if f.Frame.code_ref <> !steps_for then fetch f;
          (* the JIT portal *)
          let f =
-           if
-             jit_on
-             &&
-             if threaded then !headers.(f.Frame.pc)
-             else L.loop_header f.Frame.code f.Frame.pc
-           then begin
+           if jit_on && !headers.(f.Frame.pc) then begin
              match on_loop_header t f with
              | J_frame f' ->
                  cur := f';
@@ -766,33 +813,17 @@ module Make (L : Threaded.LANG) = struct
          match f with
          | None -> ()
          | Some f ->
-         (* one dispatch-loop iteration.  The threaded path runs the
-            pre-bound step closure for this pc, which emits the exact
-            charge sequence of the reference prologue + handler below
-            (held by test/test_dispatch_diff.ml). *)
+         (* the portal may have deoptimized into a different code *)
+         if f.Frame.code_ref <> !steps_for then fetch f;
+         let s = !steps in
+         (* run the step at this pc (it may be a loop header the portal
+            just processed), then stay in the tight inner loop until a
+            call, a return, or the next merge point *)
          let oc =
-           if threaded then begin
-             (* the portal may have deoptimized into a different code *)
-             if f.Frame.code_ref <> !steps_for then fetch_threaded f;
-             let s = !steps in
-             (* run the step at this pc (it may be a loop header the
-                portal just processed), then stay in the tight inner
-                loop until a call, a return, or the next merge point *)
-             match s.(f.Frame.pc) f with
-             | Frame.Continue ->
-                 if jit_on then exec_steps_jit s !headers f
-                 else exec_steps s f
-             | oc -> oc
-           end
-           else begin
-             Engine.annot eng Annot.Dispatch_tick;
-             Engine.emit_static eng t.charge_tab ~lo:0 ~hi:1;
-             if t.profile.Profile.dispatch_indirect then
-               Engine.branch_indirect eng
-                 ~site:(200_000 + (f.Frame.code_ref land 1023))
-                 ~target:(L.opcode_at f.Frame.code f.Frame.pc);
-             D.step_ref t.dcx t.globals f
-           end
+           match s.(f.Frame.pc) f with
+           | Frame.Continue ->
+               if jit_on then exec_steps_jit s !headers f else exec_steps s f
+           | oc -> oc
          in
          match oc with
          | Frame.Continue -> ()
@@ -869,31 +900,15 @@ module Make (L : Threaded.LANG) = struct
             Jitlog.record_seeded_site t.jitlog
         | _ -> ())
       p.Traceprofile.hot_sites;
-    if t.cfg.Config.threaded_interp then begin
-      let eng = Ctx.engine t.rtc in
-      List.iter
-        (fun code_ref ->
-          match L.lookup_code code_ref with
-          | exception Invalid_argument _ ->
-              (* a profile only lists refs from its own bundle, but a
-                 stale ref must fail soft: the lazy path re-translates *)
-              ()
-          | code -> (
-              match L.lookup_threaded code with
-              | Some _ -> ()
-              | None ->
-                  let d =
-                    {
-                      Threaded.d_eng = eng;
-                      d_tab = t.charge_tab;
-                      d_site = 200_000 + (code_ref land 1023);
-                      d_indirect = t.profile.Profile.dispatch_indirect;
-                    }
-                  in
-                  let s = L.threaded_code t.dcx t.globals d code in
-                  L.store_threaded code s;
-                  Jitlog.record_interp_translation t.jitlog;
-                  t.translated_refs <- code_ref :: t.translated_refs))
-        p.Traceprofile.translated
-    end
+    List.iter
+      (fun code_ref ->
+        match L.Table.lookup code_ref with
+        | exception Invalid_argument _ ->
+            (* a profile only lists refs from its own bundle, but a
+               stale ref must fail soft: the lazy path re-translates *)
+            ()
+        | code ->
+            if Option.is_none (L.Table.lookup_threaded code_ref) then
+              ignore (translate t code_ref code))
+      p.Traceprofile.translated
 end

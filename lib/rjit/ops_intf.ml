@@ -117,36 +117,3 @@ module type OPS = sig
 
   val call_builtin : cx -> Builtin.t -> t array -> t
 end
-
-(** What a hosted language provides to the generic driver. *)
-module type LANG = sig
-  type code
-  (** a compiled code object (function body or module toplevel) *)
-
-  val code_ref : code -> int
-  val lookup_code : int -> code
-  (** resolve a [code_ref] back to its code object (deoptimization) *)
-
-  val nlocals : code -> int
-  val stack_size : code -> int
-  val loop_header : code -> int -> bool
-  (** is this pc a hot-loop merge point (backward-jump target)? *)
-
-  val opcode_at : code -> int -> int
-  (** numeric opcode at the pc, used as the indirect-dispatch branch
-      target for the predictor model *)
-
-  val name : code -> string
-
-  module Step (O : OPS) : sig
-    val step_ref :
-      O.cx -> Globals.t -> (O.t, code) Frame.t -> (O.t, code) Frame.outcome
-    (** Execute exactly one bytecode — the reference decode-and-match
-        handler.  A [Call] outcome must return a frame whose [parent] is
-        already set to the current frame.  The [Trace_ops] meta-
-        interpreter always records through this; the [Direct_ops]
-        instantiation runs it when the threaded-dispatch tier
-        ({!Threaded}) is off, and threaded translators reuse it as the
-        pre-bound body of cold bytecodes. *)
-  end
-end

@@ -1,26 +1,27 @@
-(** The threaded-dispatch interpreter tier.
+(** The threaded-dispatch interpreter: the driver's only dispatch loop.
 
-    PR 3 proved the translate-once closure pattern on traces
-    ({!Executor}): compile each code object {e once} into an array of
-    pre-bound step closures and dispatch by indexed call instead of
-    decode-and-match (Izawa & Masuhara, "Threaded Code Generation with a
-    Meta-Tracing JIT Compiler", 2021).  This module is the seam that
+    The trace executor ({!Executor}) compiles each trace {e once} into
+    an array of pre-bound step closures and dispatches by indexed call
+    instead of decode-and-match (Izawa & Masuhara, "Threaded Code
+    Generation with a Meta-Tracing JIT Compiler", 2021).  This module
     extends the same pattern down to the interpreters themselves: the
-    hosted language translates [Bytecode]/[Kbytecode] code objects into
-    [step] arrays over {!Direct_ops}, and {!Driver.Make} runs them in
-    place of the reference [Step(Direct_ops)] match loop.
+    hosted language translates its code objects into [step] arrays over
+    {!Direct_ops} ([Driver.LANG.threaded_code]), and {!Driver.Make} runs
+    them.
 
     The contract is strict: a threaded step must emit {e exactly} the
-    charge sequence of one reference dispatch-loop iteration — the
+    charge sequence of one decode-and-match iteration — the
     [Dispatch_tick] annotation, the dispatch cost bundle, the indirect
-    dispatch branch, then the handler's own operations, in that order —
-    so simulated counters stay byte-identical between the two loops
-    (held by test/test_dispatch_diff.ml).  Only host-side work may
-    differ: operand decode, constant-pool loads, [Builtin.of_tag] and
-    jump-target resolution all happen at translate time, and the hottest
-    bytecode pairs are fused into superinstructions whose interior
-    stack traffic is elided (safe because pushes and pops charge
-    nothing, and fused operands stay GC-reachable through the locals). *)
+    dispatch branch, then the handler's own operations, in that order.
+    A test oracle (test/ref_dispatch.ml) binds {!charge} followed by the
+    language's [Step(Direct_ops).step_ref] at every pc, and the
+    differential suites hold simulated counters byte-identical against
+    it.  Only host-side work may differ: operand decode, constant-pool
+    loads, [Builtin.of_tag] and jump-target resolution all happen at
+    translate time, and the hottest bytecode pairs are fused into
+    superinstructions whose interior stack traffic is elided (safe
+    because pushes and pops charge nothing, and fused operands stay
+    GC-reachable through the locals). *)
 
 open Mtj_core
 module Engine = Mtj_machine.Engine
@@ -41,9 +42,9 @@ type dispatch = {
 (** per-code dispatch-charging context, bound into every step closure at
     translate time so the hot path re-checks nothing per bytecode *)
 
-(* Must mirror the reference loop's per-iteration prologue in
-   Driver.Make.run_frame byte for byte: annotation, dispatch bundle via
-   the emit_static fast path, then the predictor's indirect branch. *)
+(* One decode-and-match iteration's prologue: annotation, dispatch
+   bundle via the emit_static fast path, then the predictor's indirect
+   branch to the bytecode's opcode. *)
 let[@inline] charge d ~target =
   Engine.annot d.d_eng Annot.Dispatch_tick;
   Engine.emit_static d.d_eng d.d_tab ~lo:0 ~hi:1;
@@ -65,29 +66,3 @@ let charger d =
     fun ~target:_ ->
       Engine.annot eng Annot.Dispatch_tick;
       Engine.emit_static eng tab ~lo:0 ~hi:1
-
-(** What a hosted language provides to drive the threaded tier, on top
-    of the base meta-tracing seam.  The translation cache lives in the
-    language's code table (keyed by code id, cleared with it) so a
-    fresh VM never sees stale step arrays. *)
-module type LANG = sig
-  include Ops_intf.LANG
-
-  val headers : code -> bool array
-  (** the loop-header bitmap, exposed directly so the threaded loop can
-      test merge points without an indirect call per bytecode *)
-
-  val threaded_code :
-    Direct_ops.cx ->
-    Globals.t ->
-    dispatch ->
-    code ->
-    (Direct_ops.t, code) step array
-  (** translate [code] once into its pre-bound step array; raises
-      [Invalid_argument] if an instruction names a [code_ref] that the
-      code table cannot resolve (stale tables fail at translation, not
-      mid-run) *)
-
-  val lookup_threaded : code -> (Direct_ops.t, code) step array option
-  val store_threaded : code -> (Direct_ops.t, code) step array -> unit
-end

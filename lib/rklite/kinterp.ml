@@ -254,13 +254,13 @@ module Step (O : Ops_intf.OPS) = struct
         Frame.push f r;
         next ()
 
-  (* the reference decode-and-match loop, under the name the driver and
-     the threaded tier know it by *)
+  (* the decode-and-match handler, under the name [Driver.LANG] knows it
+     by *)
   let step_ref = step
 end
 
 (* ------------------------------------------------------------------ *)
-(* The threaded-dispatch tier (the rklite half of {!Mtj_rjit.Threaded}).
+(* Threaded dispatch (the rklite half of {!Mtj_rjit.Threaded}).
 
    Mirrors [Interp.threaded_code]: one pre-bound closure per bytecode
    over [Direct_ops], operands and prim dispatch resolved at translate

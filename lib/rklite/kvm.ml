@@ -4,96 +4,40 @@
     the custom-JIT profile with the JIT disabled it models the reference
     Racket VM (Table II's two Racket-language configurations). *)
 
-open Mtj_core
 open Mtj_rt
 open Mtj_rjit
 
-module Lang : Threaded.LANG with type code = Kbytecode.code = struct
+module Lang : Driver.LANG with type code = Kbytecode.code = struct
   type code = Kbytecode.code
 
-  let code_ref (c : code) = c.Kbytecode.id
-  let lookup_code = Kcode_table.lookup
+  module Table = Kcode_table
+
   let nlocals (c : code) = c.Kbytecode.nlocals
   let stack_size (c : code) = c.Kbytecode.stacksize
-  let loop_header (c : code) pc = c.Kbytecode.headers.(pc)
-  let opcode_at (c : code) pc = Kbytecode.tag c.Kbytecode.instrs.(pc)
   let name (c : code) = c.Kbytecode.name
+  let headers (c : code) = c.Kbytecode.headers
 
   module Step = Kinterp.Step
 
-  (* the threaded-dispatch tier (Config.threaded_interp) *)
-  let headers (c : code) = c.Kbytecode.headers
   let threaded_code = Kinterp.threaded_code
-  let lookup_threaded (c : code) = Kcode_table.lookup_threaded c.Kbytecode.id
-  let store_threaded (c : code) s = Kcode_table.store_threaded c.Kbytecode.id s
+  let compile = Kcompiler.compile_source
+
+  (* the pair "struct": rklite's cons cells are 2-field instances, so car
+     and cdr trace to plain getfield_gc nodes and non-escaping pairs are
+     removed by the JIT's escape analysis *)
+  let install_globals rtc globals =
+    let cls =
+      Gc_sim.obj (Ctx.gc rtc)
+        (Value.Class
+           {
+             Value.cls_id = -2;
+             cls_name = "pair";
+             layout = [| "car"; "cdr" |];
+             attrs = [];
+             parent = None;
+           })
+    in
+    Globals.define globals "%pair" cls
 end
 
-module D = Driver.Make (Lang)
-
-type t = { rtc : Ctx.t; driver : D.t }
-
-(* the pair "struct": rklite's cons cells are 2-field instances, so car
-   and cdr trace to plain getfield_gc nodes and non-escaping pairs are
-   removed by the JIT's escape analysis *)
-let install_pair_class rtc globals =
-  let cls =
-    Gc_sim.obj (Ctx.gc rtc)
-      (Value.Class
-         {
-           Value.cls_id = -2;
-           cls_name = "pair";
-           layout = [| "car"; "cdr" |];
-           attrs = [];
-           parent = None;
-         })
-  in
-  Globals.define globals "%pair" cls
-
-let create ?(config = Config.default) ?(profile = Profile.rpython_interp) () =
-  (* fresh per-VM code-id sequence (see Kcode_table) *)
-  Kcode_table.reset ();
-  let rtc = Ctx.create ~config () in
-  let globals = Globals.create () in
-  install_pair_class rtc globals;
-  let driver = D.create ~profile rtc globals in
-  { rtc; driver }
-
-let rtc t = t.rtc
-let engine t = Ctx.engine t.rtc
-let jitlog t = D.jitlog t.driver
-let globals t = D.globals t.driver
-let output t = Buffer.contents (Ctx.out t.rtc)
-
-let compile = Kcompiler.compile_source
-let run_code t code : Driver.outcome = D.run t.driver code
-let run_source t src = run_code t (compile src)
-
-(* compiled-program bundles for the shared serving cache — same
-   contract and determinism argument as [Mtj_pylite.Vm] *)
-
-type bundle = {
-  b_entry : Kbytecode.code;
-  b_codes : Kbytecode.code list;  (* sorted by id; includes [b_entry] *)
-  b_next_id : int;
-}
-
-let bundle_size b = List.length b.b_codes
-
-let compile_bundle src =
-  let entry = compile src in
-  let codes, next_id = Kcode_table.export_bundle () in
-  { b_entry = entry; b_codes = codes; b_next_id = next_id }
-
-let import_bundle (_ : t) b =
-  Kcode_table.import_bundle b.b_codes ~next_id:b.b_next_id
-
-let run_bundle t b : Driver.outcome = run_code t b.b_entry
-
-(* trace-profile seeding — same contract as Mtj_pylite.Vm *)
-let export_profile t = D.export_profile t.driver
-let seed_profile t p = D.seed_profile t.driver p
-
-let run ?config ?profile src =
-  let t = create ?config ?profile () in
-  let outcome = run_source t src in
-  (outcome, t)
+include Vm.Make (Lang)

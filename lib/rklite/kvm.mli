@@ -8,44 +8,10 @@
     pre-installed [%pair] class, so they participate in escape analysis
     like any other allocation. With {!Mtj_core.Profile.racket_custom}
     and the JIT disabled the VM stands in for the Racket reference
-    implementation. *)
+    implementation.  [compile] raises {!Reader.Syntax_error} or
+    {!Kcompiler.Compile_error}. *)
 
-type t
+module Lang : Mtj_rjit.Driver.LANG with type code = Kbytecode.code
+(** the language as the framework sees it (tests derive oracles from it) *)
 
-val create :
-  ?config:Mtj_core.Config.t -> ?profile:Mtj_core.Profile.t -> unit -> t
-
-val compile : string -> Kbytecode.code
-(** Compile a program (sequence of toplevel forms). Raises
-    {!Reader.Syntax_error} or {!Kcompiler.Compile_error}. *)
-
-val run_code : t -> Kbytecode.code -> Mtj_rjit.Driver.outcome
-val run_source : t -> string -> Mtj_rjit.Driver.outcome
-
-type bundle
-(** A compiled program as a context-free artifact — same contract as
-    {!Mtj_pylite.Vm.bundle}. *)
-
-val compile_bundle : string -> bundle
-val import_bundle : t -> bundle -> unit
-val run_bundle : t -> bundle -> Mtj_rjit.Driver.outcome
-val bundle_size : bundle -> int
-
-val export_profile : t -> Mtj_rjit.Traceprofile.t
-(** Same contract as {!Mtj_pylite.Vm.export_profile}. *)
-
-val seed_profile : t -> Mtj_rjit.Traceprofile.t -> unit
-(** Same contract as {!Mtj_pylite.Vm.seed_profile}: call after
-    {!import_bundle}, before the VM runs. *)
-
-val run :
-  ?config:Mtj_core.Config.t ->
-  ?profile:Mtj_core.Profile.t ->
-  string ->
-  Mtj_rjit.Driver.outcome * t
-
-val output : t -> string
-val rtc : t -> Mtj_rt.Ctx.t
-val engine : t -> Mtj_machine.Engine.t
-val jitlog : t -> Mtj_rjit.Jitlog.t
-val globals : t -> Mtj_rjit.Globals.t
+include Mtj_rjit.Vm.S with type code = Kbytecode.code

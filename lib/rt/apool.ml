@@ -16,7 +16,8 @@
 
     A disabled pool ([enabled = false]) degrades to plain allocation:
     {!acquire} is [Array.make] and {!release} a no-op, so call sites
-    stay unconditional and the [--frame-pool off] mode exercises the
+    stay unconditional and the unpooled mode ([Config.frame_pool =
+    false], which only the differential tests select) exercises the
     exact same code path minus the free lists. *)
 
 type 'a t = {

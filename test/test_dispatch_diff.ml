@@ -1,18 +1,20 @@
-(** Differential test of the threaded-dispatch interpreter tier
-    ([Config.threaded_interp], translate-once handler-closure arrays)
-    against the reference decode-and-match loop ([Step.step_ref]).
+(** Differential test of the threaded-dispatch interpreter (translate-
+    once handler-closure arrays with fused superinstructions) against
+    the decode-and-match oracle ({!Ref_dispatch}: the reference handler
+    [Step.step_ref] bound at every pc).
 
-    Whole programs run twice — once per dispatch mode — through real VMs
-    with a {!Mtj_obs.Sink} attached, for both languages.  Everything
-    observable must be BYTE-IDENTICAL: program output, outcome status
-    (including budget-exhaustion points landed mid-run), per-phase
-    counters (float cycles compared exactly via [%.17g]), engine totals,
-    the sink's event stream (phase crossings interpreter → trace →
-    blackhole included) and counter samples, and the jitlog's
-    compilation statistics.  Only the threaded tier's own cache counters
-    ([interp_translations]/[threaded_code_hits]) may differ — they are
-    asserted separately: positive under the threaded loop, zero under
-    the reference loop.
+    Whole programs run twice — production VM and oracle, both built by
+    [Vm.Make] — with a {!Mtj_obs.Sink} attached, for both languages.
+    Everything observable must be BYTE-IDENTICAL: program output,
+    outcome status (including budget-exhaustion points landed mid-run),
+    per-phase counters (float cycles compared exactly via [%.17g]),
+    engine totals, the sink's event stream (phase crossings interpreter
+    → trace → blackhole included) and counter samples, and the jitlog's
+    compilation statistics.  The translation-cache counters
+    ([interp_translations]/[threaded_code_hits]) are excluded; instead
+    the oracle's liveness is asserted: it called [step_ref] once per
+    interpreter dispatch tick, so a reference side that silently ran the
+    production translator would fail.
 
     Programs come from a deterministic pool plus a QCheck generator of
     random (terminating-by-construction) pylite sources and randomly
@@ -27,7 +29,7 @@ module Config = Mtj_core.Config
 module Jitlog = Mtj_rjit.Jitlog
 module Driver = Mtj_rjit.Driver
 
-type lang = Py | Rk
+type lang = Mtj_benchmarks.Registry.lang = Py | Rk
 
 (* ---------- digesting a run ---------- *)
 
@@ -75,8 +77,7 @@ let samples_digest sink =
        (Sink.samples sink))
 
 (* compile/run statistics that must agree between dispatch modes; the
-   threaded tier's own counters are deliberately excluded (asserted
-   separately) *)
+   translation-cache counters are deliberately excluded *)
 let jitlog_digest (jl : Jitlog.t) =
   Printf.sprintf
     "traces=%d aborts=%d deopts=%d bridges=%d blacklisted=%d retiers=%d \
@@ -92,68 +93,62 @@ let outcome_str = function
   | Driver.Budget_exceeded -> "budget"
   | Driver.Runtime_error e -> "error: " ^ e
 
-type run = { digest : string; jitlog : Jitlog.t }
+type run = { digest : string; jitlog : Jitlog.t; interp_ticks : int }
 
-let observe ~lang ~config src : run =
-  match lang with
-  | Py ->
-      let vm = Mtj_pylite.Vm.create ~config () in
-      let eng = Mtj_pylite.Vm.engine vm in
-      let sink = Sink.attach ~capacity:(1 lsl 16) ~counter_window:256 eng in
-      let outcome = Mtj_pylite.Vm.run_source vm src in
-      Sink.finalize sink;
-      {
-        digest =
-          String.concat "\n---\n"
-            [
-              outcome_str outcome;
-              Mtj_pylite.Vm.output vm;
-              counters_digest eng;
-              events_digest sink;
-              samples_digest sink;
-              jitlog_digest (Mtj_pylite.Vm.jitlog vm);
-            ];
-        jitlog = Mtj_pylite.Vm.jitlog vm;
-      }
-  | Rk ->
-      let vm = Mtj_rklite.Kvm.create ~config () in
-      let eng = Mtj_rklite.Kvm.engine vm in
-      let sink = Sink.attach ~capacity:(1 lsl 16) ~counter_window:256 eng in
-      let outcome = Mtj_rklite.Kvm.run_source vm src in
-      Sink.finalize sink;
-      {
-        digest =
-          String.concat "\n---\n"
-            [
-              outcome_str outcome;
-              Mtj_rklite.Kvm.output vm;
-              counters_digest eng;
-              events_digest sink;
-              samples_digest sink;
-              jitlog_digest (Mtj_rklite.Kvm.jitlog vm);
-            ];
-        jitlog = Mtj_rklite.Kvm.jitlog vm;
-      }
+(* dispatch ticks annotated while the interpreter phase is current: one
+   per bytecode the interpreter dispatched (the recorder and the trace
+   executor tick under their own phases) *)
+let count_interp_ticks eng =
+  let n = ref 0 in
+  Engine.add_listener eng (fun ~insns:_ a ->
+      match a with
+      | Mtj_core.Annot.Dispatch_tick
+        when Engine.current_phase eng = Phase.Interpreter ->
+          incr n
+      | _ -> ());
+  n
 
-let with_threaded b (c : Config.t) = { c with Config.threaded_interp = b }
+let observe (module V : Mtj_rjit.Vm.S) ~config src : run =
+  let vm = V.create ~config () in
+  let eng = V.engine vm in
+  let sink = Sink.attach ~capacity:(1 lsl 16) ~counter_window:256 eng in
+  let ticks = count_interp_ticks eng in
+  let outcome = V.run_source vm src in
+  Sink.finalize sink;
+  {
+    digest =
+      String.concat "\n---\n"
+        [
+          outcome_str outcome;
+          V.output vm;
+          counters_digest eng;
+          events_digest sink;
+          samples_digest sink;
+          jitlog_digest (V.jitlog vm);
+        ];
+    jitlog = V.jitlog vm;
+    interp_ticks = !ticks;
+  }
 
-(* run both dispatch modes and require byte-identical digests, plus the
-   cache-counter split: the threaded loop translates, the reference loop
-   never touches the cache *)
+(* run the production VM and the decode-and-match oracle and require
+   byte-identical digests; the production run translated code, and the
+   oracle really ran its reference handler — once per interpreter
+   dispatch tick *)
 let check_diff name ~lang ~config src =
-  let t = observe ~lang ~config:(with_threaded true config) src in
-  let r = observe ~lang ~config:(with_threaded false config) src in
+  let (module O) = Ref_dispatch.of_lang lang in
+  let t = observe (Mtj_harness.Runner.vm_of lang) ~config src in
+  let calls0 = O.step_ref_calls () in
+  let r = observe (module O) ~config src in
+  let calls = O.step_ref_calls () - calls0 in
   Alcotest.(check string) name r.digest t.digest;
   Alcotest.(check bool)
     (name ^ ": threaded run translated code")
     true
     (t.jitlog.Jitlog.interp_translations > 0);
+  Alcotest.(check bool) (name ^ ": oracle ran step_ref") true (calls > 0);
   Alcotest.(check int)
-    (name ^ ": reference run never translates")
-    0 r.jitlog.Jitlog.interp_translations;
-  Alcotest.(check int)
-    (name ^ ": reference run never hits the cache")
-    0 r.jitlog.Jitlog.threaded_code_hits
+    (name ^ ": oracle step_ref calls = interpreter dispatch ticks")
+    r.interp_ticks calls
 
 (* ---------- deterministic programs ---------- *)
 
@@ -358,8 +353,8 @@ let prop_random_programs =
         | _ -> 10_000_000
       in
       let config = Config.with_budget budget base in
-      let t = observe ~lang ~config:(with_threaded true config) src in
-      let r = observe ~lang ~config:(with_threaded false config) src in
+      let t = observe (Mtj_harness.Runner.vm_of lang) ~config src in
+      let r = observe (Ref_dispatch.vm_of lang) ~config src in
       if t.digest <> r.digest then
         QCheck.Test.fail_reportf
           "seed %d diverged on:\n%s\n--- reference:\n%s\n--- threaded:\n%s"
@@ -386,18 +381,18 @@ let test_builtin_of_tag_bounds () =
         (Builtin.of_tag (Builtin.tag b) == b))
     Builtin.all
 
+module type PY_VM = Mtj_rjit.Vm.S with type code = Mtj_pylite.Bytecode.code
+
 let test_stale_code_ref_fails_at_translation () =
   (* hand-patch a compiled program so an unreachable MAKE_FUNCTION
-     carries a dangling code_ref.  The reference loop never executes the
+     carries a dangling code_ref.  The oracle never executes the
      instruction and completes; the threaded translator validates every
      code_ref up front and must fail at translation, not mid-run. *)
-  let patched ~threaded =
-    (* each VM compiles its own copy: Vm.create resets the code table *)
-    let vm =
-      Mtj_pylite.Vm.create ~config:(with_threaded threaded Config.default) ()
-    in
+  let patched (module V : PY_VM) =
+    (* each VM compiles its own copy: create resets the code table *)
+    let vm = V.create ~config:Config.default () in
     let code =
-      Mtj_pylite.Vm.compile
+      V.compile
         "def g():\n\
         \    return 1\n\
          if 1 < 0:\n\
@@ -419,24 +414,25 @@ let test_stale_code_ref_fails_at_translation () =
         | _ -> ())
       code.Mtj_pylite.Bytecode.instrs;
     Alcotest.(check int) "patched the dead MAKE_FUNCTION" 1 !seen;
-    (vm, code)
+    match V.run_code vm code with
+    | o -> Ok (o, V.output vm)
+    | exception Invalid_argument msg -> Error (msg, V.output vm)
   in
-  (* reference loop: the dangling ref is never reached, the run completes *)
-  let vm, code = patched ~threaded:false in
-  (match Mtj_pylite.Vm.run_code vm code with
-  | Driver.Completed _ -> ()
-  | o -> Alcotest.failf "reference run should complete, got %s" (outcome_str o));
-  Alcotest.(check string) "program ran" "1\n" (Mtj_pylite.Vm.output vm);
+  (* oracle: the dangling ref is never reached, the run completes *)
+  (match patched (module Ref_dispatch.Py) with
+  | Ok (Driver.Completed _, out) ->
+      Alcotest.(check string) "program ran" "1\n" out
+  | Ok (o, _) ->
+      Alcotest.failf "oracle run should complete, got %s" (outcome_str o)
+  | Error (msg, _) -> Alcotest.failf "oracle run raised %s" msg);
   (* threaded loop: translating the toplevel code validates every ref *)
-  let vm2, stale = patched ~threaded:true in
-  match Mtj_pylite.Vm.run_code vm2 stale with
-  | exception Invalid_argument msg ->
+  match patched (module Mtj_pylite.Vm) with
+  | Error (msg, out) ->
       Alcotest.(check bool)
         "translation error names the code_ref" true
         (String.length msg > 0);
-      Alcotest.(check string)
-        "nothing executed before the failure" "" (Mtj_pylite.Vm.output vm2)
-  | o ->
+      Alcotest.(check string) "nothing executed before the failure" "" out
+  | Ok (o, _) ->
       Alcotest.failf "threaded run should fail at translation, got %s"
         (outcome_str o)
 

@@ -9,13 +9,10 @@ module R = Mtj_harness.Runner
 
 let budget = 250_000_000
 
-let run_py config src =
-  let outcome, vm = Mtj_pylite.Vm.run ~config src in
-  (outcome, Mtj_pylite.Vm.output vm)
-
-let run_rk config src =
-  let outcome, vm = Mtj_rklite.Kvm.run ~config src in
-  (outcome, Mtj_rklite.Kvm.output vm)
+let run lang config src =
+  let (module V) = R.vm_of lang in
+  let outcome, vm = V.run ~config src in
+  (outcome, V.output vm)
 
 let completed = function
   | Mtj_rjit.Driver.Completed _ -> true
@@ -23,11 +20,11 @@ let completed = function
 
 let bench_case (b : B.bench) =
   let name =
-    Printf.sprintf "%s (%s)" b.B.name
-    (match b.B.lang with B.Py -> "py" | B.Rk -> "rk")
+    let (module V) = R.vm_of b.B.lang in
+    Printf.sprintf "%s (%s)" b.B.name V.lang_name
   in
   Alcotest.test_case name `Slow (fun () ->
-      let runner = match b.B.lang with B.Py -> run_py | B.Rk -> run_rk in
+      let runner = run b.B.lang in
       let o1, out1 = runner (C.with_budget budget C.no_jit) b.B.source in
       let o2, out2 = runner (C.with_budget budget C.default) b.B.source in
       Alcotest.(check bool) (name ^ " interp completes") true (completed o1);
@@ -43,7 +40,7 @@ let native_agreement (kname : string) =
       let rtc = Mtj_rt.Ctx.create ~config:(C.with_budget budget C.no_jit) () in
       let native_out = Mtj_baselines.Native.run rtc kernel in
       let b = B.find_exn ~lang:B.Py kname in
-      let _, hosted = run_py (C.with_budget budget C.default) b.B.source in
+      let _, hosted = run B.Py (C.with_budget budget C.default) b.B.source in
       Alcotest.(check string) (kname ^ ": native = hosted") hosted native_out)
 
 let native_kernels_to_check =

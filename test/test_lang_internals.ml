@@ -247,6 +247,58 @@ let test_kcompile_closure_captures () =
   done;
   Alcotest.(check bool) "a code object captures" true !found
 
+(* --- the code tables: Code_table.Make through both instantiations --- *)
+
+let check_code_table (type c)
+    (module T : Mtj_rjit.Code_table.S with type code = c)
+    ~(compile : string -> c) ~first src () =
+  let name what = T.lang_name ^ ": " ^ what in
+  T.reset ();
+  Alcotest.(check int) (name "ids restart at first_id") first (T.fresh_id ());
+  T.reset ();
+  ignore (compile src : c);
+  let codes, next_id = T.export_bundle () in
+  Alcotest.(check bool) (name "program registered codes") true
+    (List.length codes > 1);
+  Alcotest.(check int) (name "lowest id is first_id") first
+    (T.id (List.hd codes));
+  (* the bundle round-trips: every id resolves to the very same code
+     object, and the id sequence resumes at the watermark *)
+  T.reset ();
+  T.store_threaded first [||];
+  T.import_bundle codes ~next_id;
+  List.iter
+    (fun c ->
+      Alcotest.(check bool)
+        (name (Printf.sprintf "lookup %d after import" (T.id c)))
+        true
+        (T.lookup (T.id c) == c))
+    codes;
+  Alcotest.(check bool) (name "import drops the threaded cache") true
+    (Option.is_none (T.lookup_threaded first));
+  Alcotest.(check int) (name "import restores the watermark") next_id
+    (T.fresh_id ());
+  T.store_threaded first [||];
+  T.reset ();
+  Alcotest.(check bool) (name "reset drops the threaded cache") true
+    (Option.is_none (T.lookup_threaded first));
+  match T.lookup first with
+  | _ -> Alcotest.fail (name "reset kept a code object")
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (name ("unknown ref names the language: " ^ msg))
+        true
+        (String.starts_with ~prefix:("unknown " ^ T.lang_name ^ " ") msg)
+
+let test_code_table_py =
+  check_code_table (module Mtj_pylite.Code_table) ~compile ~first:0
+    "def f(n):\n    return n + 1\nprint(f(2))\n"
+
+let test_code_table_rk =
+  check_code_table (module Mtj_rklite.Kcode_table)
+    ~compile:Mtj_rklite.Kcompiler.compile_source ~first:1_000_000
+    "(define (f n) (+ n 1)) (display (f 2))"
+
 let suite =
   [
     Alcotest.test_case "lex simple" `Quick test_lex_simple;
@@ -278,4 +330,6 @@ let suite =
     Alcotest.test_case "reader unclosed" `Quick test_reader_unclosed;
     Alcotest.test_case "kcompile tail jump" `Quick test_kcompile_tailjump;
     Alcotest.test_case "kcompile closures" `Quick test_kcompile_closure_captures;
+    Alcotest.test_case "code table (py)" `Quick test_code_table_py;
+    Alcotest.test_case "code table (rk)" `Quick test_code_table_rk;
   ]

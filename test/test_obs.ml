@@ -176,7 +176,7 @@ let test_metrics_roundtrip () =
   Alcotest.(check bool)
     "a jitting run reuses cached code" true
     (jint "code_cache_hits" > 0);
-  (* v4 threaded-interpreter counters survive the round trip verbatim *)
+  (* v4 threaded interpreter counters survive the round trip verbatim *)
   Alcotest.(check int)
     "interp_translations round-trips"
     o.o_jitlog.Mtj_rjit.Jitlog.interp_translations
@@ -532,7 +532,7 @@ let test_validator_rejects_corruption () =
   | Error e -> Alcotest.failf "well-formed jit block rejected: %s" e);
   expect_err "translations < num_traces" (Validate.metrics (jdoc 0 1));
   expect_err "untranslated trace row" (Validate.metrics (jdoc 1 0));
-  (* v4 threaded-interpreter invariants *)
+  (* v4 threaded interpreter invariants *)
   (match Validate.metrics (jdoc ~itrans:2 ~ihits:5 1 1) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "well-formed threaded counters rejected: %s" e);

@@ -135,9 +135,6 @@ let test_parallel_determinism () =
   let parallel =
     List.map (fun (b, c) -> digest (R.run ~budget b c)) sample_runs
   in
-  (* the cache is keyed by (bench, config): drop the small-budget
-     entries so later suites see a clean slate *)
-  R.clear_cache ();
   List.iter2
     (Alcotest.(check string) "parallel result = serial result")
     serial parallel
@@ -149,11 +146,21 @@ let test_run_many_order () =
   R.clear_cache ();
   let pairs = sample_runs @ [ List.hd sample_runs ] in
   let rs = R.run_many ~jobs:4 ~budget pairs in
-  R.clear_cache ();
   Alcotest.(check (list string))
     "results line up with requests"
     (List.map fst pairs)
     (List.map (fun (r : R.result) -> r.R.bench_name) rs)
+
+(* the memo is keyed by the config a run simulates: the same pair at a
+   second budget is a second run, not the first budget's cached result *)
+let test_memo_keys_budget () =
+  let insns budget = (R.run ~budget "telco" R.Pypy_jit).R.insns in
+  let small = insns 100_000 and large = insns 400_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "budgets give different runs (%d vs %d)" small large)
+    true (small < large);
+  Alcotest.(check int) "a repeated budget repeats the run" small
+    (insns 100_000)
 
 let suite =
   [
@@ -168,4 +175,6 @@ let suite =
     Alcotest.test_case "parallel prefetch is deterministic" `Slow
       test_parallel_determinism;
     Alcotest.test_case "run_many preserves order" `Slow test_run_many_order;
+    Alcotest.test_case "memo key includes the budget" `Quick
+      test_memo_keys_budget;
   ]

@@ -5,9 +5,9 @@
     through real VMs and comparing everything observable:
 
     - {b per policy}, the threaded-dispatch interpreter and the
-      reference decode-and-match loop must be BYTE-IDENTICAL — program
-      output, outcome status (budget-exhaustion points landed mid-run
-      included), per-phase counters (float cycles via [%.17g]), the
+      decode-and-match oracle ({!Ref_dispatch}) must be BYTE-IDENTICAL —
+      program output, outcome status (budget-exhaustion points landed
+      mid-run included), per-phase counters (float cycles via [%.17g]), the
       sink's event stream and samples, and the jitlog's tier accounting
       (tier compiles, promotions, demotions, per-tier residency,
       first-entry warmup point);
@@ -33,7 +33,7 @@ module Jitlog = Mtj_rjit.Jitlog
 module Ir = Mtj_rjit.Ir
 module Driver = Mtj_rjit.Driver
 
-type lang = Py | Rk
+type lang = Mtj_benchmarks.Registry.lang = Py | Rk
 
 (* ---------- digesting a run ---------- *)
 
@@ -74,8 +74,8 @@ let events_digest sink =
 
 (* tier accounting that must agree between dispatch modes: compiles per
    tier, promotions, demotions, the warmup latch, and per-tier
-   residency (the threaded tier's own cache counters are excluded, as
-   in the dispatch-differential suite) *)
+   residency (the translation-cache counters are excluded, as in the
+   dispatch-differential suite) *)
 let jitlog_digest (jl : Jitlog.t) =
   let t1e, t2e, t1d, t2d = Jitlog.tier_residency jl in
   Printf.sprintf
@@ -103,40 +103,28 @@ type run = {
   jitlog : Jitlog.t;
 }
 
-let observe ~lang ~config src : run =
-  let finish ~outcome ~output ~eng ~sink ~jitlog =
-    Sink.finalize sink;
-    {
-      digest =
-        String.concat "\n---\n"
-          [
-            outcome_str outcome;
-            output;
-            counters_digest eng;
-            events_digest sink;
-            jitlog_digest jitlog;
-          ];
-      output;
-      outcome = outcome_str outcome;
-      insns = Engine.total_insns eng;
-      jitlog;
-    }
-  in
-  match lang with
-  | Py ->
-      let vm = Mtj_pylite.Vm.create ~config () in
-      let eng = Mtj_pylite.Vm.engine vm in
-      let sink = Sink.attach ~capacity:(1 lsl 16) ~counter_window:256 eng in
-      let outcome = Mtj_pylite.Vm.run_source vm src in
-      finish ~outcome ~output:(Mtj_pylite.Vm.output vm) ~eng ~sink
-        ~jitlog:(Mtj_pylite.Vm.jitlog vm)
-  | Rk ->
-      let vm = Mtj_rklite.Kvm.create ~config () in
-      let eng = Mtj_rklite.Kvm.engine vm in
-      let sink = Sink.attach ~capacity:(1 lsl 16) ~counter_window:256 eng in
-      let outcome = Mtj_rklite.Kvm.run_source vm src in
-      finish ~outcome ~output:(Mtj_rklite.Kvm.output vm) ~eng ~sink
-        ~jitlog:(Mtj_rklite.Kvm.jitlog vm)
+let observe (module V : Mtj_rjit.Vm.S) ~config src : run =
+  let vm = V.create ~config () in
+  let eng = V.engine vm in
+  let sink = Sink.attach ~capacity:(1 lsl 16) ~counter_window:256 eng in
+  let outcome = V.run_source vm src in
+  Sink.finalize sink;
+  let output = V.output vm and jitlog = V.jitlog vm in
+  {
+    digest =
+      String.concat "\n---\n"
+        [
+          outcome_str outcome;
+          output;
+          counters_digest eng;
+          events_digest sink;
+          jitlog_digest jitlog;
+        ];
+    output;
+    outcome = outcome_str outcome;
+    insns = Engine.total_insns eng;
+    jitlog;
+  }
 
 (* ---------- tier accounting invariants ---------- *)
 
@@ -213,15 +201,15 @@ let policies =
   ]
 
 let with_policy p (c : Config.t) = { c with Config.tier_policy = p }
-let with_threaded b (c : Config.t) = { c with Config.threaded_interp = b }
+let production = Mtj_harness.Runner.vm_of
 
 (* run one (program, policy) under both dispatch modes: byte-identical
    digests, and the accounting invariants hold; returns the reference
    run for cross-policy comparison *)
 let check_policy_diff name ~lang ~config ~policy src =
   let config = with_policy policy config in
-  let t = observe ~lang ~config:(with_threaded true config) src in
-  let r = observe ~lang ~config:(with_threaded false config) src in
+  let t = observe (production lang) ~config src in
+  let r = observe (Ref_dispatch.vm_of lang) ~config src in
   Alcotest.(check string) (name ^ ": threaded = reference") r.digest t.digest;
   check_accounting name policy r;
   check_accounting (name ^ " [threaded]") policy t;
@@ -383,7 +371,7 @@ let test_warmup_first_entry () =
   let config = Config.with_budget 30_000_000 Config.default in
   let first policy =
     let r =
-      observe ~lang:Py ~config:(with_policy policy config) py_promote
+      observe (production Py) ~config:(with_policy policy config) py_promote
     in
     r.jitlog.Jitlog.first_entry_insns
   in
@@ -502,8 +490,8 @@ let prop_random_programs =
       let config =
         with_policy policy (Config.with_budget budget base)
       in
-      let t = observe ~lang ~config:(with_threaded true config) src in
-      let r = observe ~lang ~config:(with_threaded false config) src in
+      let t = observe (production lang) ~config src in
+      let r = observe (Ref_dispatch.vm_of lang) ~config src in
       if t.digest <> r.digest then
         QCheck.Test.fail_reportf
           "seed %d diverged on:\n%s\n--- reference:\n%s\n--- threaded:\n%s"

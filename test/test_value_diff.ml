@@ -2,7 +2,7 @@
     paths: the immediate-tagged int/bool/nil representation,
     per-context frame pooling, and precomputed string-key hashes.
 
-    The load-bearing test is the frame-pool differential: running the
+    The load-bearing test is the frame pool differential: running the
     same benchmark with [frame_pool] on and off must produce
     BYTE-IDENTICAL simulated results — output, per-phase machine
     counters (cycles compared exactly), GC statistics and JIT log — in
@@ -192,7 +192,7 @@ let test_khash_rklite () =
       Alcotest.(check int) ("py_hash " ^ s) (V.py_hash (V.of_str s)) h)
     hs
 
-(* ---------- frame-pool on/off differential ---------- *)
+(* ---------- frame pool on/off differential ---------- *)
 
 let snap_str (s : Counters.snapshot) =
   Printf.sprintf "i=%d c=%.17g b=%d bm=%d l=%d s=%d cm=%d" s.Counters.insns
@@ -234,27 +234,16 @@ let status_of = function
 
 (* run a registry benchmark; returns the digest and the host fast-path
    counters (reported separately, not part of the digest) *)
-let run_py ~config name =
-  let b = B.find_exn ~lang:B.Py name in
-  let vm = Mtj_pylite.Vm.create ~config () in
-  let outcome = Mtj_pylite.Vm.run_source vm b.B.source in
-  ( observe ~status:(status_of outcome)
-      ~output:(Mtj_pylite.Vm.output vm)
-      ~engine:(Mtj_pylite.Vm.engine vm)
-      ~gc:(Mtj_rt.Gc_sim.stats (Ctx.gc (Mtj_pylite.Vm.rtc vm)))
-      ~jitlog:(Mtj_pylite.Vm.jitlog vm),
-    Ctx.hstats (Mtj_pylite.Vm.rtc vm) )
-
-let run_rk ~config name =
-  let b = B.find_exn ~lang:B.Rk name in
-  let vm = Mtj_rklite.Kvm.create ~config () in
-  let outcome = Mtj_rklite.Kvm.run_source vm b.B.source in
-  ( observe ~status:(status_of outcome)
-      ~output:(Mtj_rklite.Kvm.output vm)
-      ~engine:(Mtj_rklite.Kvm.engine vm)
-      ~gc:(Mtj_rt.Gc_sim.stats (Ctx.gc (Mtj_rklite.Kvm.rtc vm)))
-      ~jitlog:(Mtj_rklite.Kvm.jitlog vm),
-    Ctx.hstats (Mtj_rklite.Kvm.rtc vm) )
+let run lang ~config name =
+  let (module V) = Mtj_harness.Runner.vm_of lang in
+  let b = B.find_exn ~lang name in
+  let vm = V.create ~config () in
+  let outcome = V.run_source vm b.B.source in
+  ( observe ~status:(status_of outcome) ~output:(V.output vm)
+      ~engine:(V.engine vm)
+      ~gc:(Mtj_rt.Gc_sim.stats (Ctx.gc (V.rtc vm)))
+      ~jitlog:(V.jitlog vm),
+    Ctx.hstats (V.rtc vm) )
 
 let check_pool_invariant ~label ~bench run base_config =
   let on = { base_config with Config.frame_pool = true } in
@@ -287,20 +276,20 @@ let budgeted base = Config.with_budget 2_000_000 base
 
 let test_pool_diff_py_jit () =
   check_pool_invariant ~label:"binarytrees(py,jit)" ~bench:"binarytrees"
-    run_py (budgeted Config.default)
+    (run B.Py) (budgeted Config.default)
 
 let test_pool_diff_py_nojit () =
   check_pool_invariant ~label:"binarytrees(py,nojit)" ~bench:"binarytrees"
-    run_py (budgeted Config.no_jit)
+    (run B.Py) (budgeted Config.no_jit)
 
 let test_pool_diff_py_2tier () =
   check_pool_invariant ~label:"binarytrees(py,2tier)" ~bench:"binarytrees"
-    run_py (budgeted Config.two_tier)
+    (run B.Py) (budgeted Config.two_tier)
 
 let test_pool_diff_rk_jit () =
-  (* rklite: exercises the tail-call release path in both dispatch tiers *)
+  (* rklite: exercises the tail-call release path *)
   check_pool_invariant ~label:"binarytrees(rk,jit)" ~bench:"binarytrees"
-    run_rk (budgeted Config.default)
+    (run B.Rk) (budgeted Config.default)
 
 let suite =
   [

@@ -14,9 +14,10 @@
       at the native-int boundary (min_int negation, lshift past the
       word, add/sub/mul overflow → bigint promotion, and the
       fits-back-in-an-int ⇒ immediate normalization direction);
-    - digest differentials over RANDOM generated programs: host-side
-      knobs (threaded dispatch, frame pooling) must leave the simulated
-      machine counters and program output byte-identical in both VMs. *)
+    - digest differentials over RANDOM generated programs: the host-side
+      paths (threaded dispatch vs the decode-and-match oracle, pooled vs
+      unpooled frames) must leave the simulated machine counters and
+      program output byte-identical in both VMs. *)
 
 module V = Mtj_rt.Value
 module Ctx = Mtj_rt.Ctx
@@ -313,29 +314,25 @@ let status_of = function
   | Mtj_rjit.Driver.Budget_exceeded -> "budget"
   | Mtj_rjit.Driver.Runtime_error e -> "failed: " ^ e
 
-let digest_py ~config src =
-  let vm = Mtj_pylite.Vm.create ~config () in
-  let outcome = Mtj_pylite.Vm.run_source vm src in
-  Printf.sprintf "%s|%s|%s" (status_of outcome)
-    (Mtj_pylite.Vm.output vm)
-    (snap_str (Counters.total (Engine.counters (Mtj_pylite.Vm.engine vm))))
+let digest (module V : Mtj_rjit.Vm.S) ~config src =
+  let vm = V.create ~config () in
+  let outcome = V.run_source vm src in
+  Printf.sprintf "%s|%s|%s" (status_of outcome) (V.output vm)
+    (snap_str (Counters.total (Engine.counters (V.engine vm))))
 
-let digest_rk ~config src =
-  let vm = Mtj_rklite.Kvm.create ~config () in
-  let outcome = Mtj_rklite.Kvm.run_source vm src in
-  Printf.sprintf "%s|%s|%s" (status_of outcome)
-    (Mtj_rklite.Kvm.output vm)
-    (snap_str (Counters.total (Engine.counters (Mtj_rklite.Kvm.engine vm))))
+(* the four host-side paths that must be indistinguishable in the
+   simulation: threaded dispatch or the decode-and-match oracle, frame
+   pooling on or off *)
+let host_paths lang base =
+  List.concat_map
+    (fun vm ->
+      List.map
+        (fun pool -> (vm, { base with Config.frame_pool = pool }))
+        [ true; false ])
+    [ Mtj_harness.Runner.vm_of lang; Ref_dispatch.vm_of lang ]
 
-(* the four host-side configurations that must be indistinguishable in
-   the simulation: threaded dispatch x frame pooling *)
-let host_knob_configs base =
-  [
-    { base with Config.threaded_interp = true; frame_pool = true };
-    { base with Config.threaded_interp = true; frame_pool = false };
-    { base with Config.threaded_interp = false; frame_pool = true };
-    { base with Config.threaded_interp = false; frame_pool = false };
-  ]
+let digests lang base src =
+  List.map (fun (vm, config) -> digest vm ~config src) (host_paths lang base)
 
 let all_equal = function
   | [] | [ _ ] -> true
@@ -348,18 +345,14 @@ let prop_py_digest =
     ~name:"pylite: random expr digest invariant under host knobs" ~count:40
     arb_expr (fun e ->
       let src = Printf.sprintf "print(%s)\n" (py_str e) in
-      all_equal
-        (List.map (fun c -> digest_py ~config:c src)
-           (host_knob_configs base_config)))
+      all_equal (digests Mtj_benchmarks.Registry.Py base_config src))
 
 let prop_rk_digest =
   QCheck.Test.make
     ~name:"rklite: random expr digest invariant under host knobs" ~count:40
     arb_expr (fun e ->
       let src = Printf.sprintf "(display %s)" (rk_str e) in
-      all_equal
-        (List.map (fun c -> digest_rk ~config:c src)
-           (host_knob_configs base_config)))
+      all_equal (digests Mtj_benchmarks.Registry.Rk base_config src))
 
 (* a JITted loop over a random expression: the trace executor and both
    interpreter tiers must tell the same story *)
@@ -373,8 +366,7 @@ let prop_py_loop_digest =
           (py_str e)
       in
       let base = Config.with_budget 2_000_000 Config.default in
-      all_equal
-        (List.map (fun c -> digest_py ~config:c src) (host_knob_configs base)))
+      all_equal (digests Mtj_benchmarks.Registry.Py base src))
 
 let suite =
   [
