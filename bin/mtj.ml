@@ -117,11 +117,11 @@ let print_result (r : R.result) show_output =
           (100.0 *. R.phase_fraction r p))
     r.R.phase_insns;
   (match r.R.jit with
-  | Some j when j.R.traces > 0 ->
+  | Some ({ R.log = l; _ } as j) when l.num_traces > 0 ->
       Printf.printf
         "\njit: %d traces (%d bridges), %d deopts, %d aborts, %d IR compiled, \
          hot-95%% = %.1f%%\n"
-        j.R.traces j.R.bridges j.R.deopts j.R.aborts j.R.ir_compiled
+        l.num_traces l.bridges_attached l.deopts l.aborts l.total_ir_compiled
         j.R.hot_fraction_95
   | _ -> ());
   let g = r.R.gc in
@@ -227,18 +227,17 @@ let trace_cmd =
         Mtj_obs.Chrome_trace.write ~bench:name ~vm:header ~file s;
         Printf.eprintf "[trace written to %s]\n%!" file
     | _ -> ());
-    (match metrics_out with
-    | Some file ->
+    (match (metrics_out, sink) with
+    | Some file, Some s ->
         let run_record =
           Mtj_obs.Metrics.run_json ~bench:name ~config:header ~status
             ~engine:eng ~jitlog:jl
             ~gc:(Mtj_rt.Gc_sim.stats (Mtj_rt.Ctx.gc rtc))
-            ?ticks:(Option.map Mtj_obs.Sink.ticks sink)
-            ~hstats:(Mtj_rt.Ctx.hstats rtc) ()
+            ~ticks:(Mtj_obs.Sink.ticks s) ~hstats:(Mtj_rt.Ctx.hstats rtc)
         in
         Mtj_obs.Metrics.write ~file ~runs:[ run_record ] ();
         Printf.eprintf "[metrics written to %s]\n%!" file
-    | None -> ());
+    | _ -> ());
     if not observing then begin
       Printf.printf "%s: %d traces, %d aborts, %d deopts\n\n" header
         (Mtj_rjit.Jitlog.num_traces jl)

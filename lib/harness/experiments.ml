@@ -375,14 +375,14 @@ let fig6 () =
         let r = R.run name R.Pypy_jit in
         match r.R.jit with
         | None -> [ name; "-"; "-"; "-" ]
-        | Some j ->
+        | Some ({ R.log = l; _ } as j) ->
             [
               name;
-              string_of_int j.R.ir_compiled;
+              string_of_int l.total_ir_compiled;
               Render.f1 j.R.hot_fraction_95;
               string_of_int
                 (if r.R.insns = 0 then 0
-                 else j.R.ir_dynamic / max 1 (r.R.insns / 1_000_000));
+                 else l.total_dynamic_ir / max 1 (r.R.insns / 1_000_000));
             ])
       (suite_by_speedup ())
   in
@@ -534,14 +534,14 @@ let jit_activity () =
         let r = R.run name R.Pypy_jit in
         match r.R.jit with
         | None -> [ name ]
-        | Some j ->
+        | Some { R.log = l; _ } ->
             [
               name;
-              string_of_int j.R.traces;
-              string_of_int j.R.bridges;
-              string_of_int j.R.deopts;
-              string_of_int j.R.aborts;
-              string_of_int j.R.blacklisted;
+              string_of_int l.num_traces;
+              string_of_int l.bridges_attached;
+              string_of_int l.deopts;
+              string_of_int l.aborts;
+              string_of_int l.blacklisted;
               string_of_int r.R.gc.Mtj_rt.Gc_sim.minor_collections;
               string_of_int r.R.gc.Mtj_rt.Gc_sim.major_collections;
             ])
@@ -651,7 +651,7 @@ let tiers () =
           | None -> "never"
         in
         let retiers =
-          match two.R.jit with Some j -> j.R.retiers | None -> 0
+          match two.R.jit with Some { R.log = l; _ } -> l.retiers | None -> 0
         in
         let tracing r = float_of_int (R.phase_insns_of r Phase.Tracing) /. 1.0e6 in
         [
@@ -700,8 +700,8 @@ let tierpolicy () =
   pr "break-even vs CPython; lower is better.\n\n";
   let first_entry r =
     match r.R.jit with
-    | Some j when j.R.first_entry_insns >= 0 ->
-        Printf.sprintf "%.3f" (float_of_int j.R.first_entry_insns /. 1.0e6)
+    | Some { R.log = l; _ } when l.first_entry_insns >= 0 ->
+        Printf.sprintf "%.3f" (float_of_int l.first_entry_insns /. 1.0e6)
     | _ -> "never"
   in
   let rows =
@@ -739,21 +739,21 @@ let tierpolicy () =
         let r = R.run name R.Pypy_tiered in
         match r.R.jit with
         | None -> [ name; "-"; "-"; "-"; "-"; "-" ]
-        | Some j ->
-            let dyn_total = j.R.tier1_dynamic_ir + j.R.tier2_dynamic_ir in
+        | Some { R.log = l; _ } ->
+            let dyn_total = l.tier1_dynamic_ir + l.tier2_dynamic_ir in
             let t2_share =
               if dyn_total = 0 then 0.0
               else
-                100.0 *. float_of_int j.R.tier2_dynamic_ir
+                100.0 *. float_of_int l.tier2_dynamic_ir
                 /. float_of_int dyn_total
             in
             [
               name;
-              string_of_int j.R.tier1_entries;
-              string_of_int j.R.tier2_entries;
+              string_of_int l.tier1_entries;
+              string_of_int l.tier2_entries;
               Printf.sprintf "%.1f%%" t2_share;
-              string_of_int j.R.retiers;
-              string_of_int j.R.demotions;
+              string_of_int l.retiers;
+              string_of_int l.demotions;
             ])
       tierpolicy_benches
   in
@@ -777,9 +777,9 @@ let tierpolicy () =
               in
               let compiles =
                 match r.R.jit with
-                | Some j ->
-                    Printf.sprintf "%d/%d" j.R.tier1_compiles
-                      j.R.tier2_compiles
+                | Some { R.log = l; _ } ->
+                    Printf.sprintf "%d/%d" l.tier1_compiles
+                      l.tier2_compiles
                 | None -> "-"
               in
               [ Render.f2 tracing; compiles ])

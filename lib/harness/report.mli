@@ -3,12 +3,11 @@
     Two versioned JSON documents, both built on {!Mtj_obs.Json} and
     checked by {!Mtj_obs.Validate}:
 
-    - ["mtj-bench-timings/1"] — per-experiment and per-run wall-clock of
+    - ["mtj-bench-timings/2"] — per-experiment and per-run wall-clock of
       a bench invocation ([--timings FILE]);
-    - ["mtj-metrics/8"] — the full cross-layer counter export of a set
-      of runs ([--metrics-out FILE]): per-phase machine counters with
-      derived rates, GC statistics, JIT machinery counters (multi-tier
-      accounting included) and per-trace rows. *)
+    - {!Mtj_obs.Metrics.schema} — the full cross-layer counter export of
+      a set of runs ([--metrics-out FILE]), built by
+      {!Mtj_obs.Metrics.record} like every other run record. *)
 
 val percentile : float array -> float -> float
 (** [percentile xs p] is the exact nearest-rank p-th percentile of [xs]:
@@ -31,12 +30,9 @@ val write_timings :
   unit
 (** Render {!timings_json} over [Runner.run_timings ()] and write it. *)
 
-val status_name : Runner.status -> string
-(** ["ok"], ["budget"] or ["failed"]. *)
-
 val metrics_json : Runner.result -> Mtj_obs.Json.t
-(** One ["mtj-metrics/8"] run record, built purely from the memoized
-    result (no live engine needed). *)
+(** One run record, built purely from the memoized result (no live
+    engine needed). *)
 
 val write_metrics : file:string -> Runner.result list -> unit
 (** Wrap the run records into the versioned document and write it. *)

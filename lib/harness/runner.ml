@@ -40,50 +40,14 @@ let vm_of : B.lang -> (module Mtj_rjit.Vm.S) = function
 
 type status = Ok_run | Hit_budget | Failed of string
 
-(* one row per compiled trace, in compilation order; everything the
-   metrics export needs, without retaining the trace IR itself *)
-type trace_row = {
-  tr_id : int;
-  tr_kind : string;  (* "loop" | "bridge" *)
-  tr_tier : int;
-  tr_loop_code : int;
-  tr_static_ops : int;
-  tr_entries : int;
-  tr_dynamic_ir : int;
-  tr_translations : int;
-  tr_cache_hits : int;
-  tr_deopts : int;
-  tr_bridges : int;
-}
-
+(* the log's snapshot plus the figures' IR aggregates, computed once
+   when the run ends; neither keeps the trace IR alive *)
 type jit_stats = {
-  traces : int;
-  bridges : int;
-  deopts : int;
-  aborts : int;
-  blacklisted : int;
-  retiers : int;
-  translations : int;
-  code_cache_hits : int;
-  shared_code_hits : int;  (* cross-context imports; 0 outside serving *)
-  interp_translations : int;
-  threaded_code_hits : int;
-  tier1_compiles : int;
-  tier2_compiles : int;
-  demotions : int;
-  first_entry_insns : int;   (* -1 if no trace ever ran *)
-  seeded_sites : int;        (* profile-seeded loop sites; 0 outside serving *)
-  tier1_entries : int;       (* per-tier residency *)
-  tier2_entries : int;
-  tier1_dynamic_ir : int;
-  tier2_dynamic_ir : int;
-  ir_compiled : int;
-  ir_dynamic : int;
+  log : Jitlog.snapshot;
   hot_fraction_95 : float;
   by_category : (Ir.cat * int) list;
   by_node_type : (string * int) list;
   x86_per_type : (string * float) list;
-  trace_rows : trace_row list;
 }
 
 type result = {
@@ -106,11 +70,9 @@ type result = {
   gc : Gc_sim.stats;
   charge_flushes : int;                     (* staged-counter writebacks *)
   fast_path_bundles : int;                  (* bundles charged via fast path *)
-  imm_fast_path_hits : int;                 (* host fast-path counters *)
-  boxed_slow_path_hits : int;
-  typed_ops_total : int;
-  frame_pool_reuses : int;
-  dict_hash_skips : int;
+  hstats : Hstats.t;                        (* copied when the run ended *)
+  imm_fast_path_hits : int;                 (* copies of [hstats] fields, *)
+  typed_ops_total : int;                    (* kept only for perfbench *)
 }
 
 let default_budget = 200_000_000
@@ -158,56 +120,12 @@ let config_of ?(budget = default_budget) vc =
   Config.with_budget budget base
 
 let jit_stats_of jl =
-  let t1_entries, t2_entries, t1_dyn, t2_dyn = Jitlog.tier_residency jl in
   {
-    traces = Jitlog.num_traces jl;
-    bridges = jl.Jitlog.bridges_attached;
-    deopts = jl.Jitlog.deopts;
-    aborts = jl.Jitlog.aborts;
-    blacklisted = jl.Jitlog.blacklisted;
-    retiers = jl.Jitlog.retiers;
-    translations = jl.Jitlog.translations;
-    code_cache_hits = jl.Jitlog.code_cache_hits;
-    shared_code_hits = jl.Jitlog.shared_code_hits;
-    interp_translations = jl.Jitlog.interp_translations;
-    threaded_code_hits = jl.Jitlog.threaded_code_hits;
-    tier1_compiles = jl.Jitlog.tier1_compiles;
-    tier2_compiles = jl.Jitlog.tier2_compiles;
-    demotions = jl.Jitlog.demotions;
-    first_entry_insns = jl.Jitlog.first_entry_insns;
-    seeded_sites = jl.Jitlog.seeded_sites;
-    tier1_entries = t1_entries;
-    tier2_entries = t2_entries;
-    tier1_dynamic_ir = t1_dyn;
-    tier2_dynamic_ir = t2_dyn;
-    ir_compiled = Jitlog.total_ir_compiled jl;
-    ir_dynamic = Jitlog.total_dynamic_ir jl;
+    log = Jitlog.snapshot jl;
     hot_fraction_95 = Jitlog.hot_ir_fraction jl ~coverage:0.95;
     by_category = Jitlog.dynamic_by_category jl;
     by_node_type = Jitlog.dynamic_by_node_type jl;
     x86_per_type = Jitlog.x86_per_node_type jl;
-    trace_rows =
-      List.map
-        (fun (tr : Ir.trace) ->
-          let kind, loop_code =
-            match tr.Ir.kind with
-            | Ir.Loop { loop_code; _ } -> ("loop", loop_code)
-            | Ir.Bridge { loop_code; _ } -> ("bridge", loop_code)
-          in
-          {
-            tr_id = tr.Ir.trace_id;
-            tr_kind = kind;
-            tr_tier = tr.Ir.tier;
-            tr_loop_code = loop_code;
-            tr_static_ops = Array.length tr.Ir.ops;
-            tr_entries = tr.Ir.exec_count;
-            tr_dynamic_ir = Array.fold_left ( + ) 0 tr.Ir.op_exec;
-            tr_translations = tr.Ir.translations;
-            tr_cache_hits = tr.Ir.cache_hits;
-            tr_deopts = tr.Ir.deopts;
-            tr_bridges = tr.Ir.bridges;
-          })
-        (Jitlog.traces jl);
   }
 
 let aot_ranking attrib =
@@ -224,6 +142,7 @@ let run_uncached config (bench_name : string) (vc : vm_config) : result =
     Mtj_pintool.Rate_sampler.finalize sampler;
     let eng = Ctx.engine rtc in
     let counters = Engine.counters eng in
+    let hstats = Hstats.copy (Ctx.hstats rtc) in
     {
       bench;
       bench_name;
@@ -246,15 +165,11 @@ let run_uncached config (bench_name : string) (vc : vm_config) : result =
       aot_top;
       jit;
       gc = Gc_sim.stats (Ctx.gc rtc);
-      (* read after [Counters.total] above so the final writeback of the
-         staged fast path is included in the flush count *)
       charge_flushes = Engine.charge_flushes eng;
       fast_path_bundles = Engine.fast_path_bundles eng;
-      imm_fast_path_hits = (Ctx.hstats rtc).Hstats.imm_fast_path_hits;
-      boxed_slow_path_hits = (Ctx.hstats rtc).Hstats.boxed_slow_path_hits;
-      typed_ops_total = (Ctx.hstats rtc).Hstats.typed_ops_total;
-      frame_pool_reuses = (Ctx.hstats rtc).Hstats.frame_pool_reuses;
-      dict_hash_skips = (Ctx.hstats rtc).Hstats.dict_hash_skips;
+      hstats;
+      imm_fast_path_hits = hstats.Hstats.imm_fast_path_hits;
+      typed_ops_total = hstats.Hstats.typed_ops_total;
     }
   in
   let hosted lang =

@@ -25,63 +25,21 @@ val vm_of : Mtj_benchmarks.Registry.lang -> (module Mtj_rjit.Vm.S)
 
 type status = Ok_run | Hit_budget | Failed of string
 
-(** One row per compiled trace, in compilation order; everything the
-    metrics export needs, without retaining the trace IR itself. *)
-type trace_row = {
-  tr_id : int;
-  tr_kind : string;  (** ["loop"] or ["bridge"] *)
-  tr_tier : int;
-  tr_loop_code : int;
-  tr_static_ops : int;
-  tr_entries : int;
-  tr_dynamic_ir : int;
-  tr_translations : int;  (** times threaded code was (re)built *)
-  tr_cache_hits : int;    (** entries served from the code cache *)
-  tr_deopts : int;        (** guard-fail side exits taken from it *)
-  tr_bridges : int;       (** bridges attached to its guards *)
-}
-
+(** A JIT run's counters: the log's snapshot (machinery counters,
+    tier residency, IR totals, one row per trace) plus the figures' IR
+    aggregates.  Neither keeps the trace IR alive. *)
 type jit_stats = {
-  traces : int;
-  bridges : int;
-  deopts : int;
-  aborts : int;
-  blacklisted : int;
-  retiers : int;
-  translations : int;      (** traces translated to threaded code *)
-  code_cache_hits : int;   (** trace entries served from the cache *)
-  shared_code_hits : int;
-      (** code objects imported from the cross-context shared cache
-          ({!Mtj_rjit.Sharedcache}) instead of compiled locally; always
-          0 outside serving mode *)
-  interp_translations : int;
-      (** code objects translated once into threaded interpreter steps *)
-  threaded_code_hits : int;
-      (** interpreter code switches served from the threaded cache *)
-  tier1_compiles : int;  (** baseline-tier trace compiles *)
-  tier2_compiles : int;  (** optimizing-tier trace compiles *)
-  demotions : int;
-      (** optimized loops recompiled back at the baseline tier *)
-  first_entry_insns : int;
-      (** simulated instructions retired before the first compiled-trace
-          entry, or [-1] if no trace ever ran — the
-          time-to-first-compiled-execution warmup metric *)
-  seeded_sites : int;
-      (** loop sites seeded from an imported trace profile (serving
-          mode); 0 everywhere else *)
-  tier1_entries : int;       (** per-tier residency: trace entries *)
-  tier2_entries : int;
-  tier1_dynamic_ir : int;    (** per-tier residency: dynamic IR *)
-  tier2_dynamic_ir : int;
-  ir_compiled : int;
-  ir_dynamic : int;
+  log : Mtj_rjit.Jitlog.snapshot;
   hot_fraction_95 : float;
+      (** % of compiled IR nodes covering 95% of dynamic IR (Figure 6b) *)
   by_category : (Mtj_rjit.Ir.cat * int) list;
   by_node_type : (string * int) list;
   x86_per_type : (string * float) list;
-  trace_rows : trace_row list;
 }
 
+(** [perfbench/] reads [status], [output], [insns], [cycles], [gc],
+    [charge_flushes], [fast_path_bundles], [imm_fast_path_hits] and
+    [typed_ops_total] by name: they change only with the benchmark. *)
 type result = {
   bench : Mtj_benchmarks.Registry.bench option;  (** [None] for native kernels *)
   bench_name : string;
@@ -105,20 +63,13 @@ type result = {
       (** staged-counter writebacks performed by the charging fast path *)
   fast_path_bundles : int;
       (** bundles charged through the batched [Counters] fast path *)
+  hstats : Mtj_rt.Hstats.t;
+      (** the host fast-path counters, copied when the run ended *)
   imm_fast_path_hits : int;
-      (** typed arithmetic entries that completed on the immediate
-          (unboxed int/bool) fast path (host counter, see
-          {!Mtj_rt.Hstats}) *)
-  boxed_slow_path_hits : int;
-      (** typed arithmetic entries that fell through to a boxed slow
-          path (float, bigint, string, overflow) *)
   typed_ops_total : int;
-      (** every counted typed-arithmetic entry; always equals
-          [imm_fast_path_hits + boxed_slow_path_hits] *)
-  frame_pool_reuses : int;
-      (** locals/stack arrays recycled from a frame pool free list *)
-  dict_hash_skips : int;
-      (** dict/set operations entered with a precomputed key hash *)
+      (** copies of the [hstats] fields of the same names, kept only
+          because [perfbench/] reads them; drop them with the next
+          benchmark change *)
 }
 
 val default_budget : int

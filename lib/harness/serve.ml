@@ -346,7 +346,6 @@ let serve ?jobs ?(budget = default_budget) ?(zipf_s = 1.1) ?(seed = 42)
 (* --- export --- *)
 
 let summary_json (s : summary) : J.t =
-  let c = s.sv_cache in
   J.Obj
     [
       ("requests", J.Int s.sv_requests);
@@ -384,20 +383,8 @@ let summary_json (s : summary) : J.t =
         J.Float s.sv_unseeded_first_entry_mean );
       ("cache_entries", J.Int s.sv_cache_entries);
       ( "shared_cache_stats",
-        J.Obj
-          [
-            ("shared_hits", J.Int c.Sharedcache.shared_hits);
-            ("local_hits", J.Int c.Sharedcache.local_hits);
-            ("misses", J.Int c.Sharedcache.misses);
-            ("publications", J.Int c.Sharedcache.publications);
-            ("invalidations", J.Int c.Sharedcache.invalidations);
-            ("evictions", J.Int c.Sharedcache.evictions);
-            ("requeues", J.Int c.Sharedcache.requeues);
-            ("quota_rejections", J.Int c.Sharedcache.quota_rejections);
-            ("profile_publications", J.Int c.Sharedcache.profile_publications);
-            ("seeded_imports", J.Int c.Sharedcache.seeded_imports);
-            ("contention", J.Int c.Sharedcache.contention);
-          ] );
+        Mtj_obs.Catalog.export Mtj_obs.Catalog.Shared_cache s.sv_cache
+          ~slots:[] );
     ]
 
 let print_summary oc (s : summary) =

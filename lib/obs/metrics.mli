@@ -7,44 +7,34 @@
     diffed without scraping terminal tables. *)
 
 val schema : string
-(** ["mtj-metrics/8"]; written to the document's ["schema"] field. *)
+(** ["mtj-metrics/9"]; written to the document's ["schema"] field. *)
 
-val snapshot_json : Mtj_machine.Counters.snapshot -> Json.t
-(** Raw counters plus the derived rates ([ipc], [branch_mpki],
-    [branch_miss_rate], [cache_miss_rate]). *)
-
-val phases_json : Mtj_machine.Counters.t -> Json.t
-(** Object mapping each phase name (plus ["total"]) to its
-    {!snapshot_json}.  Phases that saw no instructions are omitted. *)
-
-val gc_json : Mtj_rt.Gc_sim.stats -> Json.t
-
-val trace_row_json : Mtj_rjit.Ir.trace -> Json.t
-(** One row per compiled trace: id, kind (["loop"]/["bridge"]), tier,
-    static op count, entry count and dynamic IR executions. *)
-
-val jitlog_json : Mtj_rjit.Jitlog.t -> Json.t
-(** Machinery counters (aborts, deopts, bridges, blacklists, retiers),
-    multi-tier accounting (per-tier compiles, demotions, the
-    first-entry warmup latch, per-tier residency), aggregate IR
-    statistics and the per-trace rows. *)
+val record :
+  bench:string ->
+  config:string ->
+  status:string ->
+  run:Catalog.run ->
+  per_phase:(Mtj_core.Phase.t * Mtj_machine.Counters.snapshot) list ->
+  total:Mtj_machine.Counters.snapshot ->
+  gc:Mtj_rt.Gc_sim.stats ->
+  jit:Mtj_rjit.Jitlog.snapshot option ->
+  Json.t
+(** The one builder of run records: every {!Catalog} block in table
+    order, with the phases that saw instructions and ["total"].  [jit]
+    is [null] for runs without a JIT (native kernels). *)
 
 val run_json :
   bench:string ->
   config:string ->
   status:string ->
   engine:Mtj_machine.Engine.t ->
-  ?jitlog:Mtj_rjit.Jitlog.t ->
-  ?gc:Mtj_rt.Gc_sim.stats ->
-  ?ticks:int ->
-  ?hstats:Mtj_rt.Hstats.t ->
-  unit ->
+  jitlog:Mtj_rjit.Jitlog.t ->
+  gc:Mtj_rt.Gc_sim.stats ->
+  ticks:int ->
+  hstats:Mtj_rt.Hstats.t ->
   Json.t
-(** The full record for one benchmark run.  [ticks] is the
-    application-level dispatch-tick total when a {!Sink} counted one;
-    [hstats] carries the host fast-path counters (v5: interned-value
-    hits, frame pool reuses, precomputed-hash skips) — absent, the
-    fields are [null]. *)
+(** {!record} for a run that just finished on a live engine; [ticks] is
+    the dispatch-tick total a {!Sink} counted. *)
 
 val document : ?serve:Json.t -> runs:Json.t list -> unit -> Json.t
 (** Wrap run records into the versioned top-level document.  [serve],

@@ -151,194 +151,85 @@ let trace = wrap trace_exn
 
 (* --- metrics --- *)
 
-let check_rate run what j key =
-  match Option.bind (Json.member key j) Json.get_num with
-  | None -> fail "run %s: %s missing %s" run what key
-  | Some v ->
-      if Float.is_nan v || v < 0.0 || v > 1.0 then
-        fail "run %s: %s %s=%g outside [0,1]" run what key v
-
-let check_snapshot run what j =
+(* every counter the table declares for [block], against its domain *)
+let check_counters where block obj =
   List.iter
-    (fun key ->
-      if int_field j key < 0 then fail "run %s: %s %s negative" run what key)
-    [ "insns"; "branches"; "branch_misses"; "loads"; "stores"; "cache_misses" ];
-  if num_field j "cycles" < 0.0 then fail "run %s: %s cycles negative" run what;
-  if num_field j "ipc" < 0.0 then fail "run %s: %s ipc negative" run what;
-  check_rate run what j "branch_miss_rate";
-  check_rate run what j "cache_miss_rate"
-
-(* jit block (v2): threaded-code cache counters.  Every registered trace
-   is translated at compile time, so [translations] dominates the trace
-   count and each per-trace row carries at least one translation. *)
-let check_jit run j insns =
-  match Json.member "jit" j with
-  | None | Some Json.Null -> ()
-  | Some jit ->
-      let num_traces = int_field jit "num_traces" in
-      let translations = int_field jit "translations" in
-      let hits = int_field jit "code_cache_hits" in
-      if translations < 0 then fail "run %s: negative translations" run;
-      if hits < 0 then fail "run %s: negative code_cache_hits" run;
-      if translations < num_traces then
-        fail "run %s: translations %d < num_traces %d" run translations
-          num_traces;
-      (* shared-cache split (v7): [code_cache_hits] is the same-context
-         ("local") side, [shared_code_hits] counts cross-context imports,
-         and the exported total must be exactly their sum — the
-         accounting invariant that keeps the two tiers from double- or
-         under-counting each other. *)
-      let shared_hits = int_field jit "shared_code_hits" in
-      let total_hits = int_field jit "code_cache_total_hits" in
-      if shared_hits < 0 then fail "run %s: negative shared_code_hits" run;
-      if total_hits <> hits + shared_hits then
-        fail "run %s: code_cache_total_hits %d <> local %d + shared %d" run
-          total_hits hits shared_hits;
-      (* threaded interpreter tier (v4): a cache can only hit after at
-         least one code object was translated into it *)
-      let itrans = int_field jit "interp_translations" in
-      let ihits = int_field jit "threaded_code_hits" in
-      if itrans < 0 then fail "run %s: negative interp_translations" run;
-      if ihits < 0 then fail "run %s: negative threaded_code_hits" run;
-      if ihits > 0 && itrans = 0 then
-        fail "run %s: threaded_code_hits %d with no interp_translations" run
-          ihits;
-      (* multi-tier counters (v6).  Every compile is exactly one tier-1
-         or tier-2 compile; every promotion (retier) recompiled a tier-1
-         loop through the optimizer, so promotions are bounded by tier-1
-         compiles; demotions recompile an optimized loop, so they are
-         bounded by tier-2 compiles; and the first compiled-trace entry
-         cannot happen after the end of the run. *)
-      let t1c = int_field jit "tier1_compiles" in
-      let t2c = int_field jit "tier2_compiles" in
-      let demotions = int_field jit "demotions" in
-      let retiers = int_field jit "retiers" in
-      let first_entry = int_field jit "first_entry_insns" in
-      if t1c < 0 then fail "run %s: negative tier1_compiles" run;
-      if t2c < 0 then fail "run %s: negative tier2_compiles" run;
-      if demotions < 0 then fail "run %s: negative demotions" run;
-      if t1c + t2c <> num_traces then
-        fail "run %s: tier compiles %d+%d <> num_traces %d" run t1c t2c
-          num_traces;
-      if retiers > t1c then
-        fail "run %s: tier2 promotions %d > tier1 compiles %d" run retiers t1c;
-      if demotions > t2c then
-        fail "run %s: demotions %d > tier2 compiles %d" run demotions t2c;
-      if first_entry < -1 then
-        fail "run %s: first_entry_insns %d < -1" run first_entry;
-      if first_entry > insns then
-        fail "run %s: first_entry_insns %d exceeds run insns %d" run
-          first_entry insns;
-      (* profile seeding (v9): seeded sites are loop sites, bounded by
-         nothing the document carries per run except non-negativity *)
-      if int_field jit "seeded_sites" < 0 then
-        fail "run %s: negative seeded_sites" run;
-      (* per-tier residency reconciles exactly with the trace rows *)
-      let residency =
-        need (run ^ " jit.tier_residency")
-          (Json.member "tier_residency" jit)
+    (fun (c : Catalog.counter) ->
+      let bad () =
+        fail "%s: %s is not %s" where c.name (Catalog.domain_text c.domain)
       in
-      let r_t1e = int_field residency "tier1_entries" in
-      let r_t2e = int_field residency "tier2_entries" in
-      let r_t1d = int_field residency "tier1_dynamic_ir" in
-      let r_t2d = int_field residency "tier2_dynamic_ir" in
-      let s_t1e = ref 0 and s_t2e = ref 0 in
-      let s_t1d = ref 0 and s_t2d = ref 0 in
-      let s_hits = ref 0 in
-      List.iter
-        (fun tr ->
-          let id = int_field tr "id" in
-          if int_field tr "translations" < 1 then
-            fail "run %s: trace %d never translated" run id;
-          if int_field tr "cache_hits" < 0 then
-            fail "run %s: trace %d negative cache_hits" run id;
-          s_hits := !s_hits + int_field tr "cache_hits";
-          if int_field tr "deopts" < 0 then
-            fail "run %s: trace %d negative deopts" run id;
-          if int_field tr "bridges" < 0 then
-            fail "run %s: trace %d negative bridges" run id;
-          let entries = int_field tr "entries" in
-          let dyn = int_field tr "dynamic_ir" in
-          if int_field tr "tier" <= 1 then begin
-            s_t1e := !s_t1e + entries;
-            s_t1d := !s_t1d + dyn
-          end
-          else begin
-            s_t2e := !s_t2e + entries;
-            s_t2d := !s_t2d + dyn
-          end)
-        (arr_field jit "traces");
-      if (r_t1e, r_t2e, r_t1d, r_t2d) <> (!s_t1e, !s_t2e, !s_t1d, !s_t2d) then
-        fail
-          "run %s: tier_residency (%d,%d,%d,%d) <> trace-row sums \
-           (%d,%d,%d,%d)"
-          run r_t1e r_t2e r_t1d r_t2d !s_t1e !s_t2e !s_t1d !s_t2d;
-      (* every local hit is attributed to exactly one trace row, so the
-         row sums must reconcile with the machinery counter (v7:
-         no-double-counting between the local and shared tiers) *)
-      if !s_hits <> hits then
-        fail "run %s: trace-row cache_hits sum %d <> code_cache_hits %d" run
-          !s_hits hits
-
-(* charging fast-path stats (v3).  Every bundle — including the implicit
-   one-insn bundle of a memory access — goes through the staged
-   [Counters] path, so a run with any loads or stores must report at
-   least one fast-path bundle; and since exporting queries the counters
-   (which writes the staged state back), a run that retired insns must
-   have flushed at least once. *)
-let check_charge_stats run j total =
-  let flushes = int_field j "charge_flushes" in
-  let bundles = int_field j "fast_path_bundles" in
-  if flushes < 0 then fail "run %s: negative charge_flushes" run;
-  if bundles < 0 then fail "run %s: negative fast_path_bundles" run;
-  let mem = int_field total "loads" + int_field total "stores" in
-  if bundles = 0 && mem > 0 then
-    fail "run %s: %d loads+stores but no fast-path bundles" run mem;
-  if int_field j "insns" > 0 && flushes = 0 then
-    fail "run %s: insns retired but charge_flushes = 0" run
-
-(* host fast-path counters (v5).  Null is allowed (exporters without a
-   runtime context, e.g. native kernels, omit them); present values must
-   be non-negative, and since every counted fast-path hit corresponds to
-   at least one simulated instruction retired by the run, each counter
-   is bounded by the run's insn total. *)
-let check_hstats run j insns =
-  List.iter
-    (fun key ->
-      match Json.member key j with
-      | None -> fail "run %s: missing %s" run key
-      | Some Json.Null -> ()
-      | Some v -> (
+      match (Json.member c.name obj, c.domain) with
+      | None, _ -> fail "%s: missing %s" where c.name
+      | Some Json.Null, Catalog.Nat_or_null -> ()
+      | Some v, (Catalog.Real | Catalog.Rate) -> (
+          match Json.get_num v with
+          | Some x when x >= 0.0 && (x <= 1.0 || c.domain = Catalog.Real) -> ()
+          | _ -> bad ())
+      | Some v, d -> (
           match Json.get_int v with
-          | None -> fail "run %s: %s not an int" run key
-          | Some n ->
-              if n < 0 then fail "run %s: negative %s" run key;
-              if n > insns then
-                fail "run %s: %s %d exceeds insns %d" run key n insns))
+          | Some n when n >= Catalog.lower_bound d -> ()
+          | _ -> bad ()))
+    (Catalog.counters block)
+
+(* per-phase insns sum to the total, which is the run's; and every
+   memory access charges through the staged bundle path, so a run with
+   loads or stores reports at least one fast-path bundle *)
+let check_phases run j =
+  let phases =
+    need "phases (object)" (Option.bind (Json.member "phases" j) Json.get_obj)
+  in
+  let total = need (run ^ " phases.total") (List.assoc_opt "total" phases) in
+  let sum = ref 0 in
+  List.iter
+    (fun (name, snap) ->
+      check_counters (run ^ " phase " ^ name) Catalog.Phase snap;
+      if name <> "total" then sum := !sum + int_field snap "insns")
+    phases;
+  let total_insns = int_field total "insns" in
+  if !sum <> total_insns then
+    fail "%s: per-phase insns sum %d <> total %d" run !sum total_insns;
+  if total_insns <> int_field j "insns" then
+    fail "%s: phases.total.insns %d <> run insns %d" run total_insns
+      (int_field j "insns");
+  let mem = int_field total "loads" + int_field total "stores" in
+  if int_field j "fast_path_bundles" = 0 && mem > 0 then
+    fail "%s: %d loads+stores but no fast-path bundles" run mem
+
+(* the jit block's counters, then what spans its structure: per-tier
+   residency and the local code-cache hits are exactly the trace-row
+   sums (each hit is attributed to one row) *)
+let check_jit run jit =
+  check_counters (run ^ " jit") Catalog.Jit jit;
+  let residency =
+    need (run ^ " jit.tier_residency") (Json.member "tier_residency" jit)
+  in
+  check_counters (run ^ " jit.tier_residency") Catalog.Residency residency;
+  let rows = arr_field jit "traces" in
+  List.iteri
+    (fun i tr ->
+      check_counters (Printf.sprintf "%s trace row %d" run i) Catalog.Trace tr;
+      match str_field tr "kind" with
+      | "loop" | "bridge" -> ()
+      | k -> fail "%s: trace row %d has kind %S" run i k)
+    rows;
+  let sum key tier =
+    List.fold_left
+      (fun acc tr ->
+        if tier (int_field tr "tier") then acc + int_field tr key else acc)
+      0 rows
+  in
+  List.iter
+    (fun (obj, key, row_key, tier) ->
+      let v = int_field obj key and s = sum row_key tier in
+      if v <> s then
+        fail "%s: %s %d <> trace-row %s sum %d" run key v row_key s)
     [
-      "imm_fast_path_hits";
-      "boxed_slow_path_hits";
-      "typed_ops_total";
-      "frame_pool_reuses";
-      "dict_hash_skips";
-    ];
-  (* the immediate-representation split partitions the typed-op total:
-     every counted typed-arithmetic entry is exactly one of the two *)
-  match
-    ( Json.member "imm_fast_path_hits" j,
-      Json.member "boxed_slow_path_hits" j,
-      Json.member "typed_ops_total" j )
-  with
-  | Some a, Some b, Some t -> (
-      match (Json.get_int a, Json.get_int b, Json.get_int t) with
-      | Some a, Some b, Some t ->
-          if a + b <> t then
-            fail
-              "run %s: imm_fast_path_hits %d + boxed_slow_path_hits %d <> \
-               typed_ops_total %d"
-              run a b t
-      | _ -> ())
-  | _ -> ()
+      (residency, "tier1_entries", "entries", fun t -> t <= 1);
+      (residency, "tier2_entries", "entries", fun t -> t > 1);
+      (residency, "tier1_dynamic_ir", "dynamic_ir", fun t -> t <= 1);
+      (residency, "tier2_dynamic_ir", "dynamic_ir", fun t -> t > 1);
+      (jit, "code_cache_hits", "cache_hits", fun _ -> true);
+    ]
 
 (* serve block (v7): a serving session's latency/throughput summary and
    shared-cache counters.  Invariants: percentiles are ordered; every
@@ -409,12 +300,7 @@ let check_serve j =
       let quota_rejections = int_field st "quota_rejections" in
       let profile_pubs = int_field st "profile_publications" in
       let seeded_imports = int_field st "seeded_imports" in
-      List.iter
-        (fun key ->
-          if int_field st key < 0 then fail "serve: negative %s" key)
-        [ "shared_hits"; "local_hits"; "misses"; "publications";
-          "invalidations"; "evictions"; "requeues"; "quota_rejections";
-          "profile_publications"; "seeded_imports"; "contention" ];
+      check_counters "serve: shared_cache_stats" Catalog.Shared_cache st;
       if bool_field "shared_cache" then begin
         if shared_hits + local_hits + misses <> requests then
           fail "serve: hits %d+%d + misses %d <> requests %d" shared_hits
@@ -457,44 +343,35 @@ let check_serve j =
         fail "serve: shared cache off but cache counters nonzero"
 
 let metrics_exn j =
-  check_schema j "mtj-metrics/9";
+  check_schema j Metrics.schema;
   check_serve j;
   let runs = arr_field j "runs" in
   List.iter
     (fun run ->
       let label =
-        Printf.sprintf "%s/%s" (str_field run "bench") (str_field run "config")
+        Printf.sprintf "run %s/%s" (str_field run "bench")
+          (str_field run "config")
       in
       ignore (str_field run "status");
-      let insns = int_field run "insns" in
-      if insns < 0 then fail "run %s: negative insns" label;
-      if num_field run "cycles" < 0.0 then fail "run %s: negative cycles" label;
-      let phases =
-        need "phases (object)"
-          (Option.bind (Json.member "phases" run) Json.get_obj)
+      (* [gc] and [jit] may be absent or null (a native kernel has no JIT) *)
+      let block key f =
+        match Json.member key run with
+        | None | Some Json.Null -> ()
+        | Some o -> f o
       in
-      let total =
-        need (label ^ " phases.total")
-          (List.assoc_opt "total" phases)
-      in
-      check_snapshot label "total" total;
-      let sum = ref 0 in
-      List.iter
-        (fun (name, snap) ->
-          if name <> "total" then begin
-            check_snapshot label name snap;
-            sum := !sum + int_field snap "insns"
-          end)
-        phases;
-      let total_insns = int_field total "insns" in
-      if !sum <> total_insns then
-        fail "run %s: per-phase insns sum %d <> total %d" label !sum total_insns;
-      if total_insns <> insns then
-        fail "run %s: phases.total.insns %d <> run insns %d" label total_insns
-          insns;
-      check_charge_stats label run total;
-      check_hstats label run insns;
-      check_jit label run insns)
+      check_counters label Catalog.Run run;
+      check_phases label run;
+      block "gc" (check_counters (label ^ " gc") Catalog.Gc);
+      block "jit" (check_jit label);
+      match Catalog.violations run with
+      | [] -> ()
+      | rel :: _ ->
+          let value p =
+            Printf.sprintf "%s=%d" p
+              (Option.value ~default:0 (Catalog.lookup run p))
+          in
+          fail "%s: %s does not hold (%s)" label (Catalog.relation_text rel)
+            (String.concat ", " (List.map value (Catalog.operands rel))))
     runs;
   List.length runs
 

@@ -26,13 +26,12 @@ val trace : Json.t -> (trace_stats, string) result
     finite and non-negative. *)
 
 val metrics : Json.t -> (int, string) result
-(** Check a ["mtj-metrics/8"] document; returns the number of run
-    records.  Verifies each run's required fields, that rate fields lie
-    in [0, 1], that the per-phase instruction counts sum to the run's
-    ["total"] row, and the multi-tier JIT accounting: tier-1 + tier-2
-    compiles partition the traces, promotions/demotions are bounded by
-    the tier compile counts, the first-entry warmup latch lies within
-    the run, and per-tier residency equals the per-trace row sums. *)
+(** Check a {!Metrics.schema} document; returns the number of run
+    records.  Every {!Catalog} counter must lie in its domain and every
+    {!Catalog.relations} row must hold; in code: per-phase insns sum
+    to the run's, tier residency and code-cache hits equal the
+    trace-row sums, trace kinds are known, and the serve block's
+    percentiles and switch-dependent counters agree. *)
 
 val timings : Json.t -> (int, string) result
 (** Check a ["mtj-bench-timings/2"] document; returns the number of run

@@ -5,6 +5,50 @@
     dynamic execution counts maintained by the executor.  The JIT-IR-level
     characterization (Figures 6, 7, 8, 9) is computed from here. *)
 
+(* the snapshot types come first, so that an unqualified field access on
+   a log of unknown type still resolves to [t] *)
+type trace_row = {
+  id : int;
+  kind : string;
+  tier : int;
+  loop_code : int;
+  static_ops : int;
+  entries : int;
+  dynamic_ir : int;
+  translations : int;
+  cache_hits : int;
+  deopts : int;
+  bridges : int;
+}
+
+type snapshot = {
+  num_traces : int;
+  aborts : int;
+  abort_reasons : (string * int) list;
+  deopts : int;
+  bridges_attached : int;
+  blacklisted : int;
+  retiers : int;
+  translations : int;
+  code_cache_hits : int;
+  shared_code_hits : int;
+  interp_translations : int;
+  threaded_code_hits : int;
+  tier1_compiles : int;
+  tier2_compiles : int;
+  demotions : int;
+  first_entry_insns : int;
+  seeded_sites : int;
+  tier1_entries : int;
+  tier2_entries : int;
+  tier1_dynamic_ir : int;
+  tier2_dynamic_ir : int;
+  total_ir_compiled : int;
+  total_dynamic_ir : int;
+  rows : trace_row list;
+}
+
+(* documented in jitlog.mli *)
 type t = {
   mutable traces : Ir.trace list;  (* newest first *)
   mutable next_trace_id : int;
@@ -13,34 +57,17 @@ type t = {
   mutable blacklisted : int;
   mutable deopts : int;
   mutable bridges_attached : int;
-  mutable retiers : int;  (* tier-1 traces recompiled at tier 2 *)
-  mutable translations : int;  (* traces translated to threaded code *)
+  mutable retiers : int;
+  mutable translations : int;
   mutable code_cache_hits : int;
-      (* trace entries served from this context's own code cache (the
-         "local" side of the hit split; [shared_code_hits] counts the
-         cross-context side, and the two never double count: a lookup
-         is resolved by exactly one tier) *)
   mutable shared_code_hits : int;
-      (* code artifacts served from the shared cross-context cache
-         (Sharedcache) that were published by ANOTHER context — for a
-         warm serve request, the compiled code objects it re-registered
-         instead of compiling from source *)
   mutable interp_translations : int;
-      (* interpreter code objects translated to threaded step arrays *)
   mutable threaded_code_hits : int;
-      (* interpreter code switches served from the threaded-code cache *)
-  mutable tier1_compiles : int;  (* baseline-tier trace compiles *)
-  mutable tier2_compiles : int;  (* optimizing-tier trace compiles *)
+  mutable tier1_compiles : int;
+  mutable tier2_compiles : int;
   mutable demotions : int;
-      (* optimized loops recompiled back at tier 1 after bridge
-         proliferation (Adaptive policy) *)
   mutable first_entry_insns : int;
-      (* simulated instruction count at the first compiled-trace entry;
-         -1 until a trace has executed.  The time-to-first-compiled-
-         execution warmup metric of the tier experiments. *)
   mutable seeded_sites : int;
-      (* loop sites whose hotness counter was seeded from an imported
-         trace profile (serving mode) instead of counted from zero *)
 }
 
 let create () =
@@ -94,10 +121,6 @@ let record_shared_code_hits t ~n =
   if n < 0 then invalid_arg "Jitlog.record_shared_code_hits: n < 0";
   t.shared_code_hits <- t.shared_code_hits + n
 
-(* the satellite invariant `shared + local = total`: total is derived,
-   never maintained separately, so it cannot drift or double count *)
-let total_code_hits t = t.code_cache_hits + t.shared_code_hits
-
 let record_interp_translation t =
   t.interp_translations <- t.interp_translations + 1
 
@@ -114,27 +137,6 @@ let record_first_entry t ~insns =
   if t.first_entry_insns < 0 then t.first_entry_insns <- insns
 
 let record_seeded_site t = t.seeded_sites <- t.seeded_sites + 1
-
-(* per-tier residency: trace entries and dynamic IR executed at each
-   tier.  Dynamic IR uses raw op_exec sums (debug markers included) so
-   the numbers reconcile exactly with per-trace dynamic_ir rows in the
-   metrics document. *)
-let tier_residency t =
-  let t1_entries = ref 0 and t2_entries = ref 0 in
-  let t1_dyn = ref 0 and t2_dyn = ref 0 in
-  List.iter
-    (fun (tr : Ir.trace) ->
-      let dyn = Array.fold_left ( + ) 0 tr.Ir.op_exec in
-      if tr.Ir.tier <= 1 then begin
-        t1_entries := !t1_entries + tr.Ir.exec_count;
-        t1_dyn := !t1_dyn + dyn
-      end
-      else begin
-        t2_entries := !t2_entries + tr.Ir.exec_count;
-        t2_dyn := !t2_dyn + dyn
-      end)
-    t.traces;
-  (!t1_entries, !t2_entries, !t1_dyn, !t2_dyn)
 
 (* --- aggregate statistics for the figures --- *)
 
@@ -254,3 +256,61 @@ let x86_per_node_type t =
       else (k, float_of_int insns) :: acc)
     tbl []
   |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
+
+(* --- snapshot --- *)
+
+let trace_row (tr : Ir.trace) : trace_row =
+  let kind, loop_code =
+    match tr.Ir.kind with
+    | Ir.Loop { loop_code; _ } -> ("loop", loop_code)
+    | Ir.Bridge { loop_code; _ } -> ("bridge", loop_code)
+  in
+  {
+    id = tr.Ir.trace_id;
+    kind;
+    tier = tr.Ir.tier;
+    loop_code;
+    static_ops = Array.length tr.Ir.ops;
+    entries = tr.Ir.exec_count;
+    dynamic_ir = Array.fold_left ( + ) 0 tr.Ir.op_exec;
+    translations = tr.Ir.translations;
+    cache_hits = tr.Ir.cache_hits;
+    deopts = tr.Ir.deopts;
+    bridges = tr.Ir.bridges;
+  }
+
+(* per-tier residency is summed from the rows, so it reconciles exactly
+   with them in the metrics document *)
+let snapshot t : snapshot =
+  let rows = List.map trace_row (traces t) in
+  let sum f tier1 =
+    List.fold_left
+      (fun acc r -> if r.tier <= 1 = tier1 then acc + f r else acc)
+      0 rows
+  in
+  {
+    num_traces = num_traces t;
+    aborts = t.aborts;
+    abort_reasons = List.sort compare t.abort_reasons;
+    deopts = t.deopts;
+    bridges_attached = t.bridges_attached;
+    blacklisted = t.blacklisted;
+    retiers = t.retiers;
+    translations = t.translations;
+    code_cache_hits = t.code_cache_hits;
+    shared_code_hits = t.shared_code_hits;
+    interp_translations = t.interp_translations;
+    threaded_code_hits = t.threaded_code_hits;
+    tier1_compiles = t.tier1_compiles;
+    tier2_compiles = t.tier2_compiles;
+    demotions = t.demotions;
+    first_entry_insns = t.first_entry_insns;
+    seeded_sites = t.seeded_sites;
+    tier1_entries = sum (fun r -> r.entries) true;
+    tier2_entries = sum (fun r -> r.entries) false;
+    tier1_dynamic_ir = sum (fun r -> r.dynamic_ir) true;
+    tier2_dynamic_ir = sum (fun r -> r.dynamic_ir) false;
+    total_ir_compiled = total_ir_compiled t;
+    total_dynamic_ir = total_dynamic_ir t;
+    rows;
+  }

@@ -6,6 +6,57 @@
     blacklists, retiers). The JIT-IR-level characterization (Figures
     6–9) is computed from here. *)
 
+(** {2 Snapshot}
+
+    An immutable copy of a log's counters, taken when a run ends.  It
+    holds no IR, so a memoized run keeps its counters without keeping
+    its traces alive.  Declared before {!t}, so that an unqualified
+    field access on a log of unknown type still means {!t}. *)
+
+(** One compiled trace, in compilation order. *)
+type trace_row = {
+  id : int;
+  kind : string;  (** ["loop"] or ["bridge"] *)
+  tier : int;
+  loop_code : int;
+  static_ops : int;
+  entries : int;
+  dynamic_ir : int;  (** raw op executions, debug markers included *)
+  translations : int;
+  cache_hits : int;
+  deopts : int;
+  bridges : int;
+}
+
+type snapshot = {
+  num_traces : int;
+  aborts : int;
+  abort_reasons : (string * int) list;  (** sorted by reason *)
+  deopts : int;
+  bridges_attached : int;
+  blacklisted : int;
+  retiers : int;
+  translations : int;
+  code_cache_hits : int;
+  shared_code_hits : int;
+  interp_translations : int;
+  threaded_code_hits : int;
+  tier1_compiles : int;
+  tier2_compiles : int;
+  demotions : int;
+  first_entry_insns : int;
+  seeded_sites : int;
+  tier1_entries : int;
+      (** per-tier residency: the rows' entries and dynamic IR summed
+          by tier (1, or 2 and above) *)
+  tier2_entries : int;
+  tier1_dynamic_ir : int;
+  tier2_dynamic_ir : int;
+  total_ir_compiled : int;  (** IR nodes compiled (Figure 6a) *)
+  total_dynamic_ir : int;  (** IR node executions (Figure 6c numerator) *)
+  rows : trace_row list;
+}
+
 type t = {
   mutable traces : Ir.trace list;  (** newest first *)
   mutable next_trace_id : int;
@@ -20,7 +71,7 @@ type t = {
   mutable code_cache_hits : int;
       (** trace entries whose threaded code came from the per-context
           code cache — the {e local} (same-context) side of the code
-          hit split; {!total_code_hits} adds the cross-context side *)
+          hit split; [shared_code_hits] counts the cross-context side *)
   mutable shared_code_hits : int;
       (** code artifacts served from the shared cross-context cache
           ({!Sharedcache}) published by another context; disjoint from
@@ -75,11 +126,6 @@ val record_shared_code_hits : t -> n:int -> unit
     cache (a warm serve request records its bundle's size here).
     Raises [Invalid_argument] on negative [n]. *)
 
-val total_code_hits : t -> int
-(** [code_cache_hits + shared_code_hits] — derived, never maintained
-    separately, so the validator invariant
-    [shared_hits + local_hits = total hits] holds by construction. *)
-
 val record_interp_translation : t -> unit
 val record_threaded_code_hit : t -> unit
 
@@ -96,21 +142,12 @@ val record_first_entry : t -> insns:int -> unit
 val record_seeded_site : t -> unit
 (** Count a loop site seeded from an imported trace profile. *)
 
-val tier_residency : t -> int * int * int * int
-(** [(t1_entries, t2_entries, t1_dynamic_ir, t2_dynamic_ir)]: trace
-    entries and raw dynamic IR executions (debug markers included, so
-    the numbers reconcile exactly with per-trace rows) per tier. *)
+val snapshot : t -> snapshot
 
 (** {2 Aggregate statistics for the figures}
 
     All counts exclude debug merge points and labels, as the paper's
     do. *)
-
-val total_ir_compiled : t -> int
-(** Total IR nodes compiled (Figure 6a). *)
-
-val total_dynamic_ir : t -> int
-(** Total dynamic IR node executions (Figure 6c numerator). *)
 
 val hot_ir_fraction : t -> coverage:float -> float
 (** Percentage of compiled IR nodes accounting for [coverage] (e.g.

@@ -36,3 +36,7 @@ let create () =
     frame_pool_reuses = 0;
     dict_hash_skips = 0;
   }
+
+(* a frozen copy for a finished run's result: [with] on any one field
+   copies the whole record *)
+let copy h = { h with imm_fast_path_hits = h.imm_fast_path_hits }

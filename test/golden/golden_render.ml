@@ -84,14 +84,14 @@ let tiers () =
                   let r = R.run ~budget b c in
                   match r.R.jit with
                   | None -> [ "-"; "-" ]
-                  | Some j ->
+                  | Some { R.log = l; _ } ->
                       [
-                        (if j.R.first_entry_insns < 0 then "never"
+                        (if l.first_entry_insns < 0 then "never"
                          else
                            Rd.f1
-                             (float_of_int j.R.first_entry_insns /. 1.0e3));
-                        Printf.sprintf "%d/%d" j.R.tier1_compiles
-                          j.R.tier2_compiles;
+                             (float_of_int l.first_entry_insns /. 1.0e3));
+                        Printf.sprintf "%d/%d" l.tier1_compiles
+                          l.tier2_compiles;
                       ])
                 tier_configs)
          benches);
@@ -106,19 +106,19 @@ let tiers () =
            let r = R.run ~budget b R.Pypy_tiered in
            match r.R.jit with
            | None -> [ b; "-"; "-"; "-"; "-"; "-"; "-" ]
-           | Some j ->
+           | Some { R.log = l; _ } ->
                [
                  b;
-                 string_of_int j.R.tier1_entries;
-                 string_of_int j.R.tier2_entries;
-                 string_of_int j.R.tier1_dynamic_ir;
-                 string_of_int j.R.tier2_dynamic_ir;
-                 string_of_int j.R.retiers;
-                 string_of_int j.R.demotions;
+                 string_of_int l.tier1_entries;
+                 string_of_int l.tier2_entries;
+                 string_of_int l.tier1_dynamic_ir;
+                 string_of_int l.tier2_dynamic_ir;
+                 string_of_int l.retiers;
+                 string_of_int l.demotions;
                ])
          benches)
 
-(* experiment 4: the mtj-metrics/8 document itself — built from a tiered
+(* experiment 4: the mtj-metrics document itself — built from a tiered
    run, validated (schema + tier invariants), round-tripped through the
    parser, and printed; any drift in the export format fails the diff *)
 let metrics () =
@@ -138,6 +138,41 @@ let metrics () =
   | Error e -> Rd.pr "round-trip: PARSE ERROR: %s\n" e);
   print_string printed;
   print_newline ()
+
+(* experiment 5: the counter table of OBS_SCHEMA.md, printed from
+   Mtj_obs.Catalog — the table the exporter, the validator and this
+   document all read *)
+let counters () =
+  let module C = Mtj_obs.Catalog in
+  print_string
+    "<!-- generated from lib/obs/catalog.ml by `golden_render.exe counters`;\n\
+    \     dune runtest diffs it, dune promote refreshes it -->\n\n\
+     # mtj-metrics counters\n\n\
+     Every scalar counter of an `mtj-metrics` document.  `block` is the\n\
+     object holding it (`run` is the run record itself), `owner` the\n\
+     module whose state it reads, and `relations` the cross-counter\n\
+     invariants `Validate.metrics` checks on every run record (skipped\n\
+     when an operand is absent or `null`).\n\n\
+     | counter | block | unit | owner | domain | relations | doc |\n\
+     | --- | --- | --- | --- | --- | --- | --- |\n";
+  List.iter
+    (fun (c : C.counter) ->
+      let rels =
+        List.filter_map
+          (fun r ->
+            if List.mem (C.path c) (C.operands r) then
+              Some ("`" ^ C.relation_text r ^ "`")
+            else None)
+          C.relations
+      in
+      Printf.printf "| `%s` | %s | %s | %s | %s | %s | %s |\n" c.C.name
+        c.C.block c.C.unit_ (C.owner_name c.C.owner) (C.domain_text c.C.domain)
+        (String.concat "<br>" rels) c.C.doc)
+    C.all;
+  print_string "\n## Relations\n\n";
+  List.iter
+    (fun r -> Printf.printf "- `%s`\n" (C.relation_text r))
+    C.relations
 
 (* not a rendering: the define-before-use check (Opt.verify) over every
    trace the JIT rows above compile.  The runner's cached results keep
@@ -176,8 +211,10 @@ let () =
   | [| _; "figures" |] -> figures ()
   | [| _; "tiers" |] -> tiers ()
   | [| _; "metrics" |] -> metrics ()
+  | [| _; "counters" |] -> counters ()
   | [| _; "verify" |] -> verify ()
   | _ ->
       prerr_endline
-        "usage: golden_render.exe (table|figures|tiers|metrics|verify)";
+        "usage: golden_render.exe \
+         (table|figures|tiers|metrics|counters|verify)";
       exit 2

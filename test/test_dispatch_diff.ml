@@ -85,8 +85,8 @@ let jitlog_digest (jl : Jitlog.t) =
     (Jitlog.num_traces jl) jl.Jitlog.aborts jl.Jitlog.deopts
     jl.Jitlog.bridges_attached jl.Jitlog.blacklisted jl.Jitlog.retiers
     jl.Jitlog.translations jl.Jitlog.code_cache_hits
-    (Jitlog.total_ir_compiled jl)
-    (Jitlog.total_dynamic_ir jl)
+    (Jitlog.snapshot jl).Jitlog.total_ir_compiled
+    (Jitlog.snapshot jl).Jitlog.total_dynamic_ir
 
 let outcome_str = function
   | Driver.Completed _ -> "ok"

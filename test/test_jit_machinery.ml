@@ -159,8 +159,8 @@ let test_peeling_hoists_guards () =
 
 let test_jitlog_stats_consistency () =
   let jl = run hot_loop_src in
-  let compiled = Jitlog.total_ir_compiled jl in
-  let dynamic = Jitlog.total_dynamic_ir jl in
+  let compiled = (Jitlog.snapshot jl).Jitlog.total_ir_compiled in
+  let dynamic = (Jitlog.snapshot jl).Jitlog.total_dynamic_ir in
   Alcotest.(check bool) "compiled > 0" true (compiled > 0);
   Alcotest.(check bool) "dynamic >= compiled" true (dynamic >= compiled);
   let hot = Jitlog.hot_ir_fraction jl ~coverage:0.95 in

@@ -144,7 +144,7 @@ let test_metrics_roundtrip () =
   let run =
     Metrics.run_json ~bench:"binarytrees" ~config:"pypy" ~status:o.o_status
       ~engine:o.o_eng ~jitlog:o.o_jitlog ~gc:o.o_gc
-      ~ticks:(Sink.ticks o.o_sink) ~hstats:o.o_hstats ()
+      ~ticks:(Sink.ticks o.o_sink) ~hstats:o.o_hstats
   in
   let doc = Metrics.document ~runs:[ run ] () in
   let reparsed = parse_ok "metrics json" (Json.to_string ~indent:2 doc) in
@@ -266,16 +266,18 @@ let test_runner_metrics_roundtrip () =
     (rint "imm_fast_path_hits");
   Alcotest.(check int)
     "boxed_slow_path_hits round-trips"
-    r.Mtj_harness.Runner.boxed_slow_path_hits
+    r.Mtj_harness.Runner.hstats.Mtj_rt.Hstats.boxed_slow_path_hits
     (rint "boxed_slow_path_hits");
   Alcotest.(check int)
     "typed_ops_total round-trips" r.Mtj_harness.Runner.typed_ops_total
     (rint "typed_ops_total");
   Alcotest.(check int)
-    "frame_pool_reuses round-trips" r.Mtj_harness.Runner.frame_pool_reuses
+    "frame_pool_reuses round-trips"
+    r.Mtj_harness.Runner.hstats.Mtj_rt.Hstats.frame_pool_reuses
     (rint "frame_pool_reuses");
   Alcotest.(check int)
-    "dict_hash_skips round-trips" r.Mtj_harness.Runner.dict_hash_skips
+    "dict_hash_skips round-trips"
+    r.Mtj_harness.Runner.hstats.Mtj_rt.Hstats.dict_hash_skips
     (rint "dict_hash_skips");
   Alcotest.(check bool)
     "immediate fast path is live" true
@@ -340,11 +342,242 @@ let test_json_errors () =
 
 (* --- validator rejections --- *)
 
+(* --- metrics fixtures: small hand-built documents that validate --- *)
+
+let snap insns =
+  Json.Obj
+    [
+      ("insns", Json.Int insns);
+      ("cycles", Json.Float 10.0);
+      ("branches", Json.Int 1);
+      ("branch_misses", Json.Int 0);
+      ("loads", Json.Int 1);
+      ("stores", Json.Int 0);
+      ("cache_misses", Json.Int 0);
+      ("ipc", Json.Float 1.0);
+      ("branch_mpki", Json.Float 0.0);
+      ("branch_miss_rate", Json.Float 0.0);
+      ("cache_miss_rate", Json.Float 0.0);
+    ]
+
+(* a run record with no gc or jit block *)
+let mdoc ?(flushes = 3) ?(bundles = 5) ?(imm = Json.Int 2)
+    ?(boxed = Json.Int 1) ?(typed = Json.Int 3) ?(pooled = Json.Null)
+    ?(hash_skips = Json.Int 0) total =
+  Json.Obj
+    [
+      ("schema", Json.Str Metrics.schema);
+      ( "runs",
+        Json.Arr
+          [
+            Json.Obj
+              [
+                ("bench", Json.Str "b");
+                ("config", Json.Str "c");
+                ("status", Json.Str "ok");
+                ("insns", Json.Int total);
+                ("cycles", Json.Float 10.0);
+                ("ticks", Json.Int 4);
+                ("charge_flushes", Json.Int flushes);
+                ("fast_path_bundles", Json.Int bundles);
+                ("imm_fast_path_hits", imm);
+                ("boxed_slow_path_hits", boxed);
+                ("typed_ops_total", typed);
+                ("frame_pool_reuses", pooled);
+                ("dict_hash_skips", hash_skips);
+                ( "phases",
+                  Json.Obj
+                    [ ("interpreter", snap 7); ("total", snap total) ] );
+              ];
+          ] );
+    ]
+
+(* a run record with a gc block and a one-trace jit block *)
+let jdoc ?(itrans = 1) ?(ihits = 0) ?(retiers = 0) ?(t1c = 0) ?(t2c = 1)
+    ?(demotions = 0) ?(first_entry = 5) ?(res_t2_entries = 1)
+    ?(tr_deopts = 0) ?(shared_hits = 0) ?total_hits ?(cache_hits = 0)
+    ?(seeded_sites = 0) translations trace_translations =
+  Json.Obj
+    [
+      ("schema", Json.Str Metrics.schema);
+      ( "runs",
+        Json.Arr
+          [
+            Json.Obj
+              [
+                ("bench", Json.Str "b");
+                ("config", Json.Str "c");
+                ("status", Json.Str "ok");
+                ("insns", Json.Int 7);
+                ("cycles", Json.Float 10.0);
+                ("ticks", Json.Int 4);
+                ("charge_flushes", Json.Int 3);
+                ("fast_path_bundles", Json.Int 5);
+                ("imm_fast_path_hits", Json.Int 2);
+                ("boxed_slow_path_hits", Json.Int 0);
+                ("typed_ops_total", Json.Int 2);
+                ("frame_pool_reuses", Json.Int 0);
+                ("dict_hash_skips", Json.Null);
+                ( "phases",
+                  Json.Obj [ ("interpreter", snap 7); ("total", snap 7) ] );
+                ( "gc",
+                  Json.Obj
+                    [
+                      ("minor_collections", Json.Int 1);
+                      ("major_collections", Json.Int 0);
+                      ("allocated_objects", Json.Int 5);
+                      ("allocated_words", Json.Int 20);
+                      ("promoted_objects", Json.Int 1);
+                      ("freed_objects", Json.Int 3);
+                    ] );
+                ( "jit",
+                  Json.Obj
+                    [
+                      ("num_traces", Json.Int 1);
+                      ("aborts", Json.Int 1);
+                      ("abort_reasons", Json.Obj [ ("too long", Json.Int 1) ]);
+                      ("deopts", Json.Int 0);
+                      ("bridges_attached", Json.Int 0);
+                      ("blacklisted", Json.Int 0);
+                      ("retiers", Json.Int retiers);
+                      ("translations", Json.Int translations);
+                      ("code_cache_hits", Json.Int cache_hits);
+                      ("shared_code_hits", Json.Int shared_hits);
+                      ( "code_cache_total_hits",
+                        Json.Int
+                          (Option.value total_hits
+                             ~default:(cache_hits + shared_hits)) );
+                      ("interp_translations", Json.Int itrans);
+                      ("threaded_code_hits", Json.Int ihits);
+                      ("tier1_compiles", Json.Int t1c);
+                      ("tier2_compiles", Json.Int t2c);
+                      ("demotions", Json.Int demotions);
+                      ("first_entry_insns", Json.Int first_entry);
+                      ("seeded_sites", Json.Int seeded_sites);
+                      ( "tier_residency",
+                        Json.Obj
+                          [
+                            ("tier1_entries", Json.Int 0);
+                            ("tier2_entries", Json.Int res_t2_entries);
+                            ("tier1_dynamic_ir", Json.Int 0);
+                            ("tier2_dynamic_ir", Json.Int 4);
+                          ] );
+                      ("total_ir_compiled", Json.Int 3);
+                      ("total_dynamic_ir", Json.Int 4);
+                      ( "traces",
+                        Json.Arr
+                          [
+                            Json.Obj
+                              [
+                                ("id", Json.Int 1);
+                                ("kind", Json.Str "loop");
+                                ("tier", Json.Int 2);
+                                ("loop_code", Json.Int 0);
+                                ("static_ops", Json.Int 3);
+                                ("entries", Json.Int 1);
+                                ("dynamic_ir", Json.Int 4);
+                                ("translations", Json.Int trace_translations);
+                                ("cache_hits", Json.Int 0);
+                                ("deopts", Json.Int tr_deopts);
+                                ("bridges", Json.Int 0);
+                              ];
+                          ] );
+                    ] );
+              ];
+          ] );
+    ]
+
+(* a serving session's document: no runs, a serve block *)
+let sdoc ?(p95 = 2.0) ?(warm = 6) ?(cold = 4) ?(shared = true)
+    ?(shared_hits = 6) ?(misses = 4) ?(pubs = 2) ?(profile_seed = true)
+    ?(capacity = 0) ?(quota = 0) ?(entries = 2) ?(n_seeded = 1)
+    ?(evictions = 0) ?(requeues = 0) ?(quota_rej = 0) ?(profile_pubs = 2)
+    ?(seeded_imports = 1) () =
+  Json.Obj
+    [
+      ("schema", Json.Str Metrics.schema);
+      ("runs", Json.Arr []);
+      ( "serve",
+        Json.Obj
+          [
+            ("requests", Json.Int 10);
+            ("jobs", Json.Int 2);
+            ("zipf_s", Json.Float 1.1);
+            ("seed", Json.Int 42);
+            ("shared_cache", Json.Bool shared);
+            ("profile_seed", Json.Bool profile_seed);
+            ("cache_capacity", Json.Int capacity);
+            ("tenant_quota", Json.Int quota);
+            ("corpus_size", Json.Int 6);
+            ("cache_entries", Json.Int entries);
+            ("budget", Json.Int 300_000);
+            ("wall_s", Json.Float 0.5);
+            ("throughput_rps", Json.Float 20.0);
+            ( "latency_ms",
+              Json.Obj
+                [
+                  ("p50", Json.Float 1.0);
+                  ("p95", Json.Float p95);
+                  ("p99", Json.Float 3.0);
+                ] );
+            ( "cold",
+              Json.Obj
+                [ ("count", Json.Int cold); ("p50_ms", Json.Float 2.0) ] );
+            ( "warm",
+              Json.Obj
+                [ ("count", Json.Int warm); ("p50_ms", Json.Float 0.5) ] );
+            ( "seeded",
+              Json.Obj
+                [
+                  ("count", Json.Int n_seeded);
+                  ("first_entry_insns_mean", Json.Float 100.0);
+                ] );
+            ("unseeded_first_entry_insns_mean", Json.Float 400.0);
+            ( "shared_cache_stats",
+              Json.Obj
+                [
+                  ("shared_hits", Json.Int shared_hits);
+                  ("local_hits", Json.Int 0);
+                  ("misses", Json.Int misses);
+                  ("publications", Json.Int pubs);
+                  ("invalidations", Json.Int 0);
+                  ("evictions", Json.Int evictions);
+                  ("requeues", Json.Int requeues);
+                  ("quota_rejections", Json.Int quota_rej);
+                  ("profile_publications", Json.Int profile_pubs);
+                  ("seeded_imports", Json.Int seeded_imports);
+                  ("contention", Json.Int 0);
+                ] );
+          ] );
+    ]
+
+(* [set path v doc]: [doc] with the value at [path] (object keys and
+   array indices) replaced by [v]; the path must exist *)
+let rec set path v (j : Json.t) =
+  match (path, j) with
+  | [], _ -> v
+  | key :: rest, Json.Obj kvs when List.mem_assoc key kvs ->
+      Json.Obj
+        (List.map
+           (fun (k, x) -> if k = key then (k, set rest v x) else (k, x))
+           kvs)
+  | i :: rest, Json.Arr xs
+    when Option.fold ~none:false ~some:(fun n -> n < List.length xs)
+           (int_of_string_opt i) ->
+      Json.Arr
+        (List.mapi
+           (fun n x -> if string_of_int n = i then set rest v x else x)
+           xs)
+  | key :: _, _ -> Alcotest.failf "fixture has no %S" key
+
+(* the same, on the document's first run record *)
+let set_run path v doc = set ("runs" :: "0" :: path) v doc
+
+let expect_err what = function
+  | Ok _ -> Alcotest.failf "validator accepted %s" what
+  | Error _ -> ()
+
 let test_validator_rejects_corruption () =
-  let expect_err what = function
-    | Ok _ -> Alcotest.failf "validator accepted %s" what
-    | Error _ -> ()
-  in
   (* wrong schema *)
   expect_err "wrong schema"
     (Validate.trace
@@ -375,52 +608,6 @@ let test_validator_rejects_corruption () =
     (Validate.trace
        (doc [ ev "B" "x" 1.0; ev "B" "y" 2.0; ev "E" "x" 3.0; ev "E" "y" 4.0 ]));
   (* metrics: per-phase sum disagreeing with the total *)
-  let snap insns =
-    Json.Obj
-      [
-        ("insns", Json.Int insns);
-        ("cycles", Json.Float 10.0);
-        ("branches", Json.Int 1);
-        ("branch_misses", Json.Int 0);
-        ("loads", Json.Int 1);
-        ("stores", Json.Int 0);
-        ("cache_misses", Json.Int 0);
-        ("ipc", Json.Float 1.0);
-        ("branch_mpki", Json.Float 0.0);
-        ("branch_miss_rate", Json.Float 0.0);
-        ("cache_miss_rate", Json.Float 0.0);
-      ]
-  in
-  let mdoc ?(flushes = 3) ?(bundles = 5) ?(imm = Json.Int 2)
-      ?(boxed = Json.Int 1) ?(typed = Json.Int 3) ?(pooled = Json.Null)
-      ?(hash_skips = Json.Int 0) total =
-    Json.Obj
-      [
-        ("schema", Json.Str "mtj-metrics/9");
-        ( "runs",
-          Json.Arr
-            [
-              Json.Obj
-                [
-                  ("bench", Json.Str "b");
-                  ("config", Json.Str "c");
-                  ("status", Json.Str "ok");
-                  ("insns", Json.Int total);
-                  ("cycles", Json.Float 10.0);
-                  ("charge_flushes", Json.Int flushes);
-                  ("fast_path_bundles", Json.Int bundles);
-                  ("imm_fast_path_hits", imm);
-                  ("boxed_slow_path_hits", boxed);
-                  ("typed_ops_total", typed);
-                  ("frame_pool_reuses", pooled);
-                  ("dict_hash_skips", hash_skips);
-                  ( "phases",
-                    Json.Obj
-                      [ ("interpreter", snap 7); ("total", snap total) ] );
-                ];
-            ] );
-      ]
-  in
   (match Validate.metrics (mdoc 7) with
   | Ok 1 -> ()
   | Ok n -> Alcotest.failf "expected 1 run, got %d" n
@@ -454,79 +641,6 @@ let test_validator_rejects_corruption () =
   expect_err "non-int dict_hash_skips"
     (Validate.metrics (mdoc ~hash_skips:(Json.Str "many") 7));
   (* jit block violating the v2 cache invariants *)
-  let jdoc ?(itrans = 1) ?(ihits = 0) ?(retiers = 0) ?(t1c = 0) ?(t2c = 1)
-      ?(demotions = 0) ?(first_entry = 5) ?(res_t2_entries = 1)
-      ?(tr_deopts = 0) ?(shared_hits = 0) ?total_hits ?(cache_hits = 0)
-      ?(seeded_sites = 0) translations trace_translations =
-    Json.Obj
-      [
-        ("schema", Json.Str "mtj-metrics/9");
-        ( "runs",
-          Json.Arr
-            [
-              Json.Obj
-                [
-                  ("bench", Json.Str "b");
-                  ("config", Json.Str "c");
-                  ("status", Json.Str "ok");
-                  ("insns", Json.Int 7);
-                  ("cycles", Json.Float 10.0);
-                  ("charge_flushes", Json.Int 3);
-                  ("fast_path_bundles", Json.Int 5);
-                  ("imm_fast_path_hits", Json.Int 2);
-                  ("boxed_slow_path_hits", Json.Int 0);
-                  ("typed_ops_total", Json.Int 2);
-                  ("frame_pool_reuses", Json.Int 0);
-                  ("dict_hash_skips", Json.Null);
-                  ( "phases",
-                    Json.Obj [ ("interpreter", snap 7); ("total", snap 7) ] );
-                  ( "jit",
-                    Json.Obj
-                      [
-                        ("num_traces", Json.Int 1);
-                        ("translations", Json.Int translations);
-                        ("code_cache_hits", Json.Int cache_hits);
-                        ("shared_code_hits", Json.Int shared_hits);
-                        ( "code_cache_total_hits",
-                          Json.Int
-                            (Option.value total_hits
-                               ~default:(cache_hits + shared_hits)) );
-                        ("interp_translations", Json.Int itrans);
-                        ("threaded_code_hits", Json.Int ihits);
-                        ("retiers", Json.Int retiers);
-                        ("tier1_compiles", Json.Int t1c);
-                        ("tier2_compiles", Json.Int t2c);
-                        ("demotions", Json.Int demotions);
-                        ("first_entry_insns", Json.Int first_entry);
-                        ("seeded_sites", Json.Int seeded_sites);
-                        ( "tier_residency",
-                          Json.Obj
-                            [
-                              ("tier1_entries", Json.Int 0);
-                              ("tier2_entries", Json.Int res_t2_entries);
-                              ("tier1_dynamic_ir", Json.Int 0);
-                              ("tier2_dynamic_ir", Json.Int 4);
-                            ] );
-                        ( "traces",
-                          Json.Arr
-                            [
-                              Json.Obj
-                                [
-                                  ("id", Json.Int 1);
-                                  ("tier", Json.Int 2);
-                                  ("entries", Json.Int 1);
-                                  ("dynamic_ir", Json.Int 4);
-                                  ("translations", Json.Int trace_translations);
-                                  ("cache_hits", Json.Int 0);
-                                  ("deopts", Json.Int tr_deopts);
-                                  ("bridges", Json.Int 0);
-                                ];
-                            ] );
-                      ] );
-                ];
-            ] );
-      ]
-  in
   (match Validate.metrics (jdoc 1 1) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "well-formed jit block rejected: %s" e);
@@ -569,69 +683,6 @@ let test_validator_rejects_corruption () =
   expect_err "negative seeded_sites"
     (Validate.metrics (jdoc ~seeded_sites:(-1) 1 1));
   (* v7 serve block, with the v9 bounded-cache/seeding extensions *)
-  let sdoc ?(p95 = 2.0) ?(warm = 6) ?(cold = 4) ?(shared = true)
-      ?(shared_hits = 6) ?(misses = 4) ?(pubs = 2) ?(profile_seed = true)
-      ?(capacity = 0) ?(quota = 0) ?(entries = 2) ?(n_seeded = 1)
-      ?(evictions = 0) ?(requeues = 0) ?(quota_rej = 0) ?(profile_pubs = 2)
-      ?(seeded_imports = 1) () =
-    Json.Obj
-      [
-        ("schema", Json.Str "mtj-metrics/9");
-        ("runs", Json.Arr []);
-        ( "serve",
-          Json.Obj
-            [
-              ("requests", Json.Int 10);
-              ("jobs", Json.Int 2);
-              ("zipf_s", Json.Float 1.1);
-              ("seed", Json.Int 42);
-              ("shared_cache", Json.Bool shared);
-              ("profile_seed", Json.Bool profile_seed);
-              ("cache_capacity", Json.Int capacity);
-              ("tenant_quota", Json.Int quota);
-              ("corpus_size", Json.Int 6);
-              ("cache_entries", Json.Int entries);
-              ("budget", Json.Int 300_000);
-              ("wall_s", Json.Float 0.5);
-              ("throughput_rps", Json.Float 20.0);
-              ( "latency_ms",
-                Json.Obj
-                  [
-                    ("p50", Json.Float 1.0);
-                    ("p95", Json.Float p95);
-                    ("p99", Json.Float 3.0);
-                  ] );
-              ( "cold",
-                Json.Obj
-                  [ ("count", Json.Int cold); ("p50_ms", Json.Float 2.0) ] );
-              ( "warm",
-                Json.Obj
-                  [ ("count", Json.Int warm); ("p50_ms", Json.Float 0.5) ] );
-              ( "seeded",
-                Json.Obj
-                  [
-                    ("count", Json.Int n_seeded);
-                    ("first_entry_insns_mean", Json.Float 100.0);
-                  ] );
-              ("unseeded_first_entry_insns_mean", Json.Float 400.0);
-              ( "shared_cache_stats",
-                Json.Obj
-                  [
-                    ("shared_hits", Json.Int shared_hits);
-                    ("local_hits", Json.Int 0);
-                    ("misses", Json.Int misses);
-                    ("publications", Json.Int pubs);
-                    ("invalidations", Json.Int 0);
-                    ("evictions", Json.Int evictions);
-                    ("requeues", Json.Int requeues);
-                    ("quota_rejections", Json.Int quota_rej);
-                    ("profile_publications", Json.Int profile_pubs);
-                    ("seeded_imports", Json.Int seeded_imports);
-                    ("contention", Json.Int 0);
-                  ] );
-            ] );
-      ]
-  in
   (match Validate.metrics (sdoc ()) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "well-formed serve block rejected: %s" e);
@@ -675,6 +726,242 @@ let test_validator_rejects_corruption () =
   expect_err "seeding counters with profile_seed off"
     (Validate.metrics (sdoc ~profile_seed:false ()))
 
+(* --- counter families the validator once let through --- *)
+
+let test_rejects_negative_jit_counters () =
+  List.iter
+    (fun key ->
+      expect_err ("negative jit." ^ key)
+        (Validate.metrics (set_run [ "jit"; key ] (Json.Int (-1)) (jdoc 1 1))))
+    [ "aborts"; "deopts"; "blacklisted"; "bridges_attached";
+      "total_ir_compiled"; "total_dynamic_ir" ]
+
+let test_rejects_corrupt_gc () =
+  List.iter
+    (fun key ->
+      expect_err ("negative gc." ^ key)
+        (Validate.metrics (set_run [ "gc"; key ] (Json.Int (-1)) (jdoc 1 1)));
+      expect_err ("non-int gc." ^ key)
+        (Validate.metrics (set_run [ "gc"; key ] (Json.Float 1.5) (jdoc 1 1))))
+    [ "minor_collections"; "major_collections"; "allocated_objects";
+      "allocated_words"; "promoted_objects"; "freed_objects" ]
+
+let test_rejects_negative_ticks () =
+  expect_err "negative ticks"
+    (Validate.metrics (set_run [ "ticks" ] (Json.Int (-1)) (mdoc 7)))
+
+(* each corruption keeps the residency sums consistent, so only the
+   row's own domain is broken *)
+let test_rejects_negative_trace_row () =
+  let row key v doc = set_run [ "jit"; "traces"; "0"; key ] (Json.Int v) doc in
+  let residency key v doc =
+    set_run [ "jit"; "tier_residency"; key ] (Json.Int v) doc
+  in
+  expect_err "negative static_ops"
+    (Validate.metrics (row "static_ops" (-1) (jdoc 1 1)));
+  expect_err "negative loop_code"
+    (Validate.metrics (row "loop_code" (-1) (jdoc 1 1)));
+  expect_err "negative entries"
+    (Validate.metrics
+       (row "entries" (-1) (residency "tier2_entries" (-1) (jdoc 1 1))));
+  expect_err "negative dynamic_ir"
+    (Validate.metrics
+       (row "dynamic_ir" (-1) (residency "tier2_dynamic_ir" (-1) (jdoc 1 1))))
+
+let test_rejects_unknown_trace_kind () =
+  expect_err "trace kind \"loopy\""
+    (Validate.metrics
+       (set_run [ "jit"; "traces"; "0"; "kind" ] (Json.Str "loopy") (jdoc 1 1)))
+
+(* --- tests derived from the counter table --- *)
+
+(* a small JIT run's record, from the exporter `bench --metrics-out`
+   uses *)
+let record vc name =
+  Mtj_harness.Report.metrics_json
+    (Mtj_harness.Runner.run ~budget:1_000_000 name vc)
+
+let run_doc run = Metrics.document ~runs:[ run ] ()
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* where a counter sits in the fixture documents; trace-row counters
+   are exercised on the first row *)
+let fixture_path (c : Catalog.counter) =
+  let block = c.Catalog.block and name = c.Catalog.name in
+  if block = Catalog.block_name Catalog.Run then [ name ]
+  else if block = Catalog.block_name Catalog.Phase then
+    [ "phases"; "total"; name ]
+  else if block = Catalog.block_name Catalog.Trace then
+    [ "jit"; "traces"; "0"; name ]
+  else String.split_on_char '.' block @ [ name ]
+
+let test_every_counter_domain_enforced () =
+  let jit_doc = run_doc (record Mtj_harness.Runner.Pypy_jit "binarytrees") in
+  List.iter
+    (fun (c : Catalog.counter) ->
+      let what = Catalog.path c in
+      let corrupt v =
+        match fixture_path c with
+        | "serve" :: _ as path -> set path v (sdoc ())
+        | path -> set_run path v jit_doc
+      in
+      let below =
+        match c.Catalog.domain with
+        | Catalog.Real -> Json.Float (-1.0)
+        | d -> Json.Int (Catalog.lower_bound d - 1)
+      in
+      let rejected how doc =
+        match Validate.metrics doc with
+        | Ok _ -> Alcotest.failf "validator accepted %s %s" what how
+        | Error e ->
+            if not (contains e c.Catalog.name) then
+              Alcotest.failf "%s %s rejected for another reason: %s" what how e
+      in
+      rejected "below its domain" (corrupt below);
+      rejected "as a string" (corrupt (Json.Str "x")))
+    Catalog.all
+
+(* one corruption per relation row, computed from the valid record's
+   own values; a relation without an entry here fails the test *)
+let relation_corruptions =
+  let v run p = Option.get (Catalog.lookup run p) in
+  [
+    ( "jit.tier1_compiles + jit.tier2_compiles = jit.num_traces",
+      fun r -> [ ("jit.tier1_compiles", v r "jit.tier1_compiles" + 1) ] );
+    ( "imm_fast_path_hits + boxed_slow_path_hits = typed_ops_total",
+      fun r -> [ ("boxed_slow_path_hits", v r "boxed_slow_path_hits" + 1) ] );
+    ( "jit.code_cache_hits + jit.shared_code_hits = jit.code_cache_total_hits",
+      fun r ->
+        [ ("jit.code_cache_total_hits", v r "jit.code_cache_total_hits" + 1) ]
+    );
+    ( "jit.retiers <= jit.tier1_compiles",
+      fun r -> [ ("jit.retiers", v r "jit.tier1_compiles" + 1) ] );
+    ( "jit.demotions <= jit.tier2_compiles",
+      fun r -> [ ("jit.demotions", v r "jit.tier2_compiles" + 1) ] );
+    ( "jit.num_traces <= jit.translations",
+      fun r -> [ ("jit.translations", v r "jit.num_traces" - 1) ] );
+    ( "jit.first_entry_insns <= insns",
+      fun r -> [ ("jit.first_entry_insns", v r "insns" + 1) ] );
+    ( "typed_ops_total <= insns",
+      fun r ->
+        let typed = v r "insns" + 1 in
+        [
+          ("typed_ops_total", typed);
+          ("imm_fast_path_hits", typed - v r "boxed_slow_path_hits");
+        ] );
+    ( "frame_pool_reuses <= insns",
+      fun r -> [ ("frame_pool_reuses", v r "insns" + 1) ] );
+    ( "dict_hash_skips <= insns",
+      fun r -> [ ("dict_hash_skips", v r "insns" + 1) ] );
+    ( "jit.threaded_code_hits > 0 => jit.interp_translations > 0",
+      fun r ->
+        [
+          ("jit.threaded_code_hits", max 1 (v r "jit.threaded_code_hits"));
+          ("jit.interp_translations", 0);
+        ] );
+    ("insns > 0 => charge_flushes > 0", fun _ -> [ ("charge_flushes", 0) ]);
+  ]
+
+let test_every_relation_enforced () =
+  let run = record Mtj_harness.Runner.Pypy_jit "binarytrees" in
+  Alcotest.(check (list string))
+    "the valid record breaks no relation" []
+    (List.map Catalog.relation_text (Catalog.violations run));
+  Alcotest.(check bool)
+    "the record compiled traces" true
+    (Option.get (Catalog.lookup run "jit.num_traces") > 0);
+  Alcotest.(check (list string))
+    "one corruption per relation row"
+    (List.map Catalog.relation_text Catalog.relations)
+    (List.map fst relation_corruptions);
+  List.iter
+    (fun rel ->
+      let text = Catalog.relation_text rel in
+      let corrupted =
+        List.fold_left
+          (fun j (p, n) -> set (String.split_on_char '.' p) (Json.Int n) j)
+          run
+          (List.assoc text relation_corruptions run)
+      in
+      Alcotest.(check (list string))
+        ("corruption breaks only " ^ text)
+        [ text ]
+        (List.map Catalog.relation_text (Catalog.violations corrupted));
+      match Validate.metrics (run_doc corrupted) with
+      | Ok _ -> Alcotest.failf "validator accepted a broken %s" text
+      | Error e ->
+          if not (contains e text) then
+            Alcotest.failf "broken %s rejected for another reason: %s" text e)
+    Catalog.relations
+
+(* every key the exporter writes is a table row or a named structural
+   key, in table order *)
+let test_exported_keys_follow_table () =
+  let keys = function
+    | Json.Obj kvs -> List.map fst kvs
+    | _ -> Alcotest.fail "not an object"
+  in
+  let check_block what block ~structural obj =
+    Alcotest.(check (list string)) (what ^ " keys") (Catalog.keys block)
+      (keys obj);
+    let counter k =
+      List.exists
+        (fun (c : Catalog.counter) -> c.Catalog.name = k)
+        (Catalog.counters block)
+    in
+    Alcotest.(check (list string))
+      (what ^ " structural keys") structural
+      (List.filter (fun k -> not (counter k)) (Catalog.keys block))
+  in
+  let member obj key =
+    match Json.member key obj with
+    | Some v -> v
+    | None -> Alcotest.failf "no %s" key
+  in
+  List.iter
+    (fun (what, vc, has_jit) ->
+      let run = record vc "binarytrees" in
+      (match Validate.metrics (run_doc run) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s record rejected: %s" what e);
+      check_block what Catalog.Run run
+        ~structural:[ "bench"; "config"; "status"; "phases"; "gc"; "jit" ];
+      check_block (what ^ " gc") Catalog.Gc (member run "gc") ~structural:[];
+      (match member run "phases" with
+      | Json.Obj phases ->
+          List.iter
+            (fun (p, snap) ->
+              check_block (what ^ " phase " ^ p) Catalog.Phase snap
+                ~structural:[])
+            phases
+      | _ -> Alcotest.failf "%s: phases is not an object" what);
+      match (member run "jit", has_jit) with
+      | Json.Null, false -> ()
+      | Json.Null, true -> Alcotest.failf "%s: jit block missing" what
+      | _, false -> Alcotest.failf "%s: unexpected jit block" what
+      | jit, true ->
+          check_block (what ^ " jit") Catalog.Jit jit
+            ~structural:[ "abort_reasons"; "tier_residency"; "traces" ];
+          check_block (what ^ " residency") Catalog.Residency
+            (member jit "tier_residency") ~structural:[];
+          let rows = Option.get (Json.get_arr (member jit "traces")) in
+          Alcotest.(check bool) (what ^ " compiled traces") true (rows <> []);
+          List.iter
+            (check_block (what ^ " trace row") Catalog.Trace
+               ~structural:[ "kind" ])
+            rows)
+    [
+      ("pylite JIT", Mtj_harness.Runner.Pypy_jit, true);
+      ("native kernel", Mtj_harness.Runner.Native_c, false);
+      ("rklite JIT", Mtj_harness.Runner.Pycket_jit, true);
+    ]
+
 let suite =
   [
     Alcotest.test_case "trace round-trip + validate" `Quick
@@ -696,4 +983,20 @@ let suite =
     Alcotest.test_case "json parse errors" `Quick test_json_errors;
     Alcotest.test_case "validator rejects corruption" `Quick
       test_validator_rejects_corruption;
+    Alcotest.test_case "validator rejects negative jit counters" `Quick
+      test_rejects_negative_jit_counters;
+    Alcotest.test_case "validator rejects a corrupt gc block" `Quick
+      test_rejects_corrupt_gc;
+    Alcotest.test_case "validator rejects negative ticks" `Quick
+      test_rejects_negative_ticks;
+    Alcotest.test_case "validator rejects negative trace-row counters" `Quick
+      test_rejects_negative_trace_row;
+    Alcotest.test_case "validator rejects an unknown trace kind" `Quick
+      test_rejects_unknown_trace_kind;
+    Alcotest.test_case "every table counter's domain is enforced" `Quick
+      test_every_counter_domain_enforced;
+    Alcotest.test_case "every table relation is enforced" `Quick
+      test_every_relation_enforced;
+    Alcotest.test_case "exported keys follow the table" `Quick
+      test_exported_keys_follow_table;
   ]

@@ -77,7 +77,10 @@ let events_digest sink =
    residency (the translation-cache counters are excluded, as in the
    dispatch-differential suite) *)
 let jitlog_digest (jl : Jitlog.t) =
-  let t1e, t2e, t1d, t2d = Jitlog.tier_residency jl in
+  let { Jitlog.tier1_entries = t1e; tier2_entries = t2e;
+        tier1_dynamic_ir = t1d; tier2_dynamic_ir = t2d; _ } =
+    Jitlog.snapshot jl
+  in
   Printf.sprintf
     "traces=%d aborts=%d deopts=%d bridges=%d blacklisted=%d retiers=%d \
      translations=%d cache_hits=%d ir=%d dyn_ir=%d t1c=%d t2c=%d dem=%d \
@@ -85,8 +88,8 @@ let jitlog_digest (jl : Jitlog.t) =
     (Jitlog.num_traces jl) jl.Jitlog.aborts jl.Jitlog.deopts
     jl.Jitlog.bridges_attached jl.Jitlog.blacklisted jl.Jitlog.retiers
     jl.Jitlog.translations jl.Jitlog.code_cache_hits
-    (Jitlog.total_ir_compiled jl)
-    (Jitlog.total_dynamic_ir jl)
+    (Jitlog.snapshot jl).Jitlog.total_ir_compiled
+    (Jitlog.snapshot jl).Jitlog.total_dynamic_ir
     jl.Jitlog.tier1_compiles jl.Jitlog.tier2_compiles jl.Jitlog.demotions
     jl.Jitlog.first_entry_insns t1e t2e t1d t2d
 
@@ -155,7 +158,10 @@ let check_accounting name policy (r : run) =
     entered
     (jl.Jitlog.first_entry_insns >= 0);
   (* per-tier residency reconciles exactly with the per-trace rows *)
-  let t1e, t2e, t1d, t2d = Jitlog.tier_residency jl in
+  let { Jitlog.tier1_entries = t1e; tier2_entries = t2e;
+        tier1_dynamic_ir = t1d; tier2_dynamic_ir = t2d; _ } =
+    Jitlog.snapshot jl
+  in
   let s1e = ref 0 and s2e = ref 0 and s1d = ref 0 and s2d = ref 0 in
   List.iter
     (fun (tr : Ir.trace) ->
