@@ -10,15 +10,32 @@ type snapshot = {
   cache_misses : int;
 }
 
+(* Issue widths for code styles that are properties of the framework
+   rather than of the hosted VM.  JIT trace code is dense straight-line
+   code; the blackhole interpreter is pointer-chasing and serial (the
+   paper's Table IV measures it at the lowest IPC of all phases); GC is
+   a tight, cache-warm loop. *)
+let width ~interp = function
+  | Phase.Interpreter | Phase.Tracing | Phase.Native -> interp
+  | Phase.Jit -> 1.95
+  | Phase.Jit_call -> 1.75
+  | Phase.Gc_minor | Phase.Gc_major -> 2.0
+  | Phase.Blackhole -> 1.05
+
+let widths ~interp =
+  Array.init Phase.count (fun i -> width ~interp (Phase.of_index i))
+
+let mispredict_penalty = 14.0
+let miss_penalty = 18.0
+
 (* The committed per-phase tallies live in the arrays.  On top of them
-   sits a one-phase staging area: the scalar [s_*] fields (plus the
-   one-element [s_cycles] float array, kept as an array so stores stay
-   unboxed) hold the CURRENT values for phase index [cur], and the array
-   slots for [cur] are stale whenever [dirty] is set.  Every query
-   flushes first, so readers never observe the split. *)
+   sits a one-phase staging area: the scalar [s_*] fields always hold
+   the current values for phase index [cur], and the array slots for
+   [cur] are stale whenever [dirty] is set.  Every query flushes first,
+   so readers never observe the split. *)
 type t = {
+  mutable width : float array;  (* issue width per phase index *)
   insns : int array;
-  cycles : float array;
   branches : int array;
   branch_misses : int array;
   loads : int array;
@@ -31,14 +48,6 @@ type t = {
   mutable s_loads : int;
   mutable s_stores : int;
   mutable s_cache_misses : int;
-  s_cycles : float array;
-  x_cycles : float array;
-      (* one-cell cycle-transfer register: hot callers (Engine) store the
-         freshly computed cycle delta here and call the [_x] entry
-         points, instead of passing a [float] argument that ocamlopt
-         (classic mode, no flambda) would box on every call — the
-         dominant host allocation of the whole interpreter row before
-         it was staged through this cell *)
   mutable dirty : bool;
   mutable flushes : int;
   mutable fast_bundles : int;
@@ -47,8 +56,8 @@ type t = {
 let create () =
   let n = Phase.count in
   {
+    width = widths ~interp:2.0;
     insns = Array.make n 0;
-    cycles = Array.make n 0.0;
     branches = Array.make n 0;
     branch_misses = Array.make n 0;
     loads = Array.make n 0;
@@ -61,18 +70,17 @@ let create () =
     s_loads = 0;
     s_stores = 0;
     s_cache_misses = 0;
-    s_cycles = Array.make 1 0.0;
-    x_cycles = Array.make 1 0.0;
     dirty = false;
     flushes = 0;
     fast_bundles = 0;
   }
 
+let set_interp_width t w = t.width <- widths ~interp:w
+
 let flush t =
   if t.dirty then begin
     let i = t.cur in
     t.insns.(i) <- t.s_insns;
-    t.cycles.(i) <- Array.unsafe_get t.s_cycles 0;
     t.branches.(i) <- t.s_branches;
     t.branch_misses.(i) <- t.s_branch_misses;
     t.loads.(i) <- t.s_loads;
@@ -90,7 +98,6 @@ let[@inline] select t i =
     flush t;
     t.cur <- i;
     t.s_insns <- t.insns.(i);
-    Array.unsafe_set t.s_cycles 0 t.cycles.(i);
     t.s_branches <- t.branches.(i);
     t.s_branch_misses <- t.branch_misses.(i);
     t.s_loads <- t.loads.(i);
@@ -98,100 +105,63 @@ let[@inline] select t i =
     t.s_cache_misses <- t.cache_misses.(i)
   end
 
-let reset t =
-  Array.fill t.insns 0 Phase.count 0;
-  Array.fill t.cycles 0 Phase.count 0.0;
-  Array.fill t.branches 0 Phase.count 0;
-  Array.fill t.branch_misses 0 Phase.count 0;
-  Array.fill t.loads 0 Phase.count 0;
-  Array.fill t.stores 0 Phase.count 0;
-  Array.fill t.cache_misses 0 Phase.count 0;
-  t.cur <- 0;
-  t.s_insns <- 0;
-  t.s_branches <- 0;
-  t.s_branch_misses <- 0;
-  t.s_loads <- 0;
-  t.s_stores <- 0;
-  t.s_cache_misses <- 0;
-  Array.unsafe_set t.s_cycles 0 0.0;
-  Array.unsafe_set t.x_cycles 0 0.0;
-  t.dirty <- false;
-  t.flushes <- 0;
-  t.fast_bundles <- 0
+(* --- charging (Engine passes a cached Phase.index) --- *)
 
-(* --- charging fast path (Engine passes a cached Phase.index) ---
-
-   The staged cycle scalar is loaded from the committed array value and
-   receives exactly the [+.] sequence the array slot used to receive, so
-   the flushed value is bit-for-bit what unstaged charging produced. *)
-
-let cycles_xfer t = t.x_cycles
-
-let[@inline] add_bundle_idx_x t i ~n ~loads ~stores =
+let[@inline] add_bundle t i ~n ~loads ~stores =
   select t i;
   t.s_insns <- t.s_insns + n;
-  Array.unsafe_set t.s_cycles 0
-    (Array.unsafe_get t.s_cycles 0 +. Array.unsafe_get t.x_cycles 0);
   t.s_loads <- t.s_loads + loads;
   t.s_stores <- t.s_stores + stores;
   t.dirty <- true;
   t.fast_bundles <- t.fast_bundles + 1
 
-let[@inline] add_branch_idx_x t i ~mispredicted =
+let[@inline] add_branch t i ~mispredicted =
   select t i;
   t.s_insns <- t.s_insns + 1;
   t.s_branches <- t.s_branches + 1;
   if mispredicted then t.s_branch_misses <- t.s_branch_misses + 1;
-  Array.unsafe_set t.s_cycles 0
-    (Array.unsafe_get t.s_cycles 0 +. Array.unsafe_get t.x_cycles 0);
   t.dirty <- true
 
-let[@inline] add_cache_miss_idx_x t i =
+let[@inline] add_cache_miss t i =
   select t i;
   t.s_cache_misses <- t.s_cache_misses + 1;
-  Array.unsafe_set t.s_cycles 0
-    (Array.unsafe_get t.s_cycles 0 +. Array.unsafe_get t.x_cycles 0);
   t.dirty <- true
-
-(* boxing-argument variants, kept for callers off the hot path *)
-
-let[@inline] add_bundle_idx t i ~n ~loads ~stores ~cycles =
-  Array.unsafe_set t.x_cycles 0 cycles;
-  add_bundle_idx_x t i ~n ~loads ~stores
-
-let[@inline] add_branch_idx t i ~mispredicted ~cycles =
-  Array.unsafe_set t.x_cycles 0 cycles;
-  add_branch_idx_x t i ~mispredicted
-
-let[@inline] add_cache_miss_idx t i ~cycles =
-  Array.unsafe_set t.x_cycles 0 cycles;
-  add_cache_miss_idx_x t i
-
-(* --- legacy Phase.t entry points (kept for callers off the hot path) --- *)
-
-let add_bundle t phase (c : Cost.t) ~cycles =
-  add_bundle_idx t (Phase.index phase) ~n:(Cost.total c) ~loads:c.Cost.load
-    ~stores:c.Cost.store ~cycles
-
-let add_branch t phase ~mispredicted ~cycles =
-  add_branch_idx t (Phase.index phase) ~mispredicted ~cycles
-
-let add_cache_miss t phase ~cycles =
-  add_cache_miss_idx t (Phase.index phase) ~cycles
 
 (* --- fast-path observability --- *)
 
 let charge_flushes t = flush t; t.flushes
 let fast_path_bundles t = t.fast_bundles
 
-(* --- queries (self-flushing, so captured handles always read exact) --- *)
+(* --- queries --- *)
+
+let cycles_of t i ~insns ~branch_misses ~cache_misses =
+  (float_of_int insns /. t.width.(i))
+  +. (mispredict_penalty *. float_of_int branch_misses)
+  +. (miss_penalty *. float_of_int cache_misses)
+
+(* the staged scalars are phase [cur]'s current values, so this reads
+   exact cycles without flushing *)
+let phase_cycles t i =
+  if i = t.cur then
+    cycles_of t i ~insns:t.s_insns ~branch_misses:t.s_branch_misses
+      ~cache_misses:t.s_cache_misses
+  else
+    cycles_of t i ~insns:t.insns.(i) ~branch_misses:t.branch_misses.(i)
+      ~cache_misses:t.cache_misses.(i)
+
+let total_cycles t =
+  let c = ref 0.0 in
+  for i = 0 to Phase.count - 1 do
+    c := !c +. phase_cycles t i
+  done;
+  !c
 
 let phase t p : snapshot =
   flush t;
   let i = Phase.index p in
   {
     insns = t.insns.(i);
-    cycles = t.cycles.(i);
+    cycles = phase_cycles t i;
     branches = t.branches.(i);
     branch_misses = t.branch_misses.(i);
     loads = t.loads.(i);
@@ -199,24 +169,18 @@ let phase t p : snapshot =
     cache_misses = t.cache_misses.(i);
   }
 
-let total t =
+let total t : snapshot =
   flush t;
-  let add (a : snapshot) (s : snapshot) : snapshot =
-    {
-      insns = a.insns + s.insns;
-      cycles = a.cycles +. s.cycles;
-      branches = a.branches + s.branches;
-      branch_misses = a.branch_misses + s.branch_misses;
-      loads = a.loads + s.loads;
-      stores = a.stores + s.stores;
-      cache_misses = a.cache_misses + s.cache_misses;
-    }
-  in
-  let zero : snapshot =
-    { insns = 0; cycles = 0.0; branches = 0; branch_misses = 0; loads = 0;
-      stores = 0; cache_misses = 0 }
-  in
-  List.fold_left (fun acc p -> add acc (phase t p)) zero Phase.all
+  let sum = Array.fold_left ( + ) 0 in
+  {
+    insns = sum t.insns;
+    cycles = total_cycles t;
+    branches = sum t.branches;
+    branch_misses = sum t.branch_misses;
+    loads = sum t.loads;
+    stores = sum t.stores;
+    cache_misses = sum t.cache_misses;
+  }
 
 let ipc (s : snapshot) = if s.cycles <= 0.0 then 0.0 else float_of_int s.insns /. s.cycles
 

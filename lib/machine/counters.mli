@@ -1,16 +1,24 @@
 (** Per-phase performance counters (the PAPI/perf substitute).
 
-    Tracks instructions, cycles, branches, branch misses, loads, stores
-    and cache misses, attributed to the framework phase that was current
-    when the work was charged.  Derived metrics (IPC, branch MPKI, branch
-    rate, miss rate) feed Table I, Table IV and the per-phase
-    microarchitecture analysis. *)
+    Tracks instructions, branches, branch misses, loads, stores and cache
+    misses as integers, attributed to the framework phase that was
+    current when the work was charged.  Cycles are not charged: they are
+    derived when queried, per phase [p], as
+
+    {v insns / width(p) + 14 * branch_misses + 18 * cache_misses v}
+
+    (a fixed pipeline-flush penalty per mispredicted branch and a fixed
+    stall per cache miss).  Widths for interpreter-style phases come
+    from the running VM's {!Mtj_core.Profile}; widths for JIT/GC/blackhole
+    phases are properties of that code style.  Derived metrics (IPC,
+    branch MPKI, branch rate, miss rate) feed Table I, Table IV and the
+    per-phase microarchitecture analysis. *)
 
 type t
 
 type snapshot = {
   insns : int;
-  cycles : float;
+  cycles : float;  (** derived from the fields below and the phase width *)
   branches : int;
   branch_misses : int;
   loads : int;
@@ -19,54 +27,23 @@ type snapshot = {
 }
 
 val create : unit -> t
-val reset : t -> unit
+(** Fresh counters; the interpreter-style phases start at width 2.0. *)
+
+val set_interp_width : t -> float -> unit
+(** The issue width of the [Interpreter], [Tracing] and [Native] phases. *)
 
 (* --- charging (used by Engine) ---
 
     Charging is staged: updates for the current phase accumulate in
     scalar registers and are written back to the per-phase arrays on the
-    next phase switch or query ("flush").  The staged cycle scalar is
-    seeded from the committed value and receives the identical [+.]
-    sequence the array slot would have, so flushed counters are
-    bit-for-bit equal to unstaged per-event charging.  Every query below
-    flushes first, so a captured [t] handle always reads exact values —
-    there is no "pending" state observable from outside. *)
+    next phase switch or query ("flush").  Every query below flushes
+    first, so a captured [t] handle always reads exact values — there is
+    no "pending" state observable from outside.  [i] must be a valid
+    [Phase.index] (the Engine passes its cached current-phase index). *)
 
-val add_bundle : t -> Mtj_core.Phase.t -> Mtj_core.Cost.t -> cycles:float -> unit
-val add_branch : t -> Mtj_core.Phase.t -> mispredicted:bool -> cycles:float -> unit
-val add_cache_miss : t -> Mtj_core.Phase.t -> cycles:float -> unit
-
-(* Index-taking fast paths: [i] must be a valid [Phase.index] (the
-   Engine passes its cached current-phase index).  [add_bundle_idx]
-   takes the bundle pre-decomposed so callers with preinterned costs
-   skip the record walk. *)
-
-val add_bundle_idx :
-  t -> int -> n:int -> loads:int -> stores:int -> cycles:float -> unit
-
-val add_branch_idx : t -> int -> mispredicted:bool -> cycles:float -> unit
-val add_cache_miss_idx : t -> int -> cycles:float -> unit
-
-(* Unboxed cycle transfer: without flambda, every [cycles:float]
-   argument above boxes a fresh float per charge — one 2-word minor
-   allocation per simulated charge event, which dominated the
-   interpreter row's host allocation.  Hot callers instead store the
-   delta into the one-cell [cycles_xfer] array (float-array stores stay
-   unboxed) and call the [_x] variants, which read it back out.  The
-   accumulated values are bit-for-bit identical to the boxed path. *)
-
-val cycles_xfer : t -> float array
-(** the one-cell transfer register; cache it once, store the cycle
-    delta at index 0 immediately before each [_x] call *)
-
-val add_bundle_idx_x : t -> int -> n:int -> loads:int -> stores:int -> unit
-val add_branch_idx_x : t -> int -> mispredicted:bool -> unit
-val add_cache_miss_idx_x : t -> int -> unit
-
-val flush : t -> unit
-(** Write any staged updates back to the per-phase arrays.  Queries call
-    this implicitly; it is exposed for explicit synchronization points
-    (e.g. before handing the arrays to an external reader). *)
+val add_bundle : t -> int -> n:int -> loads:int -> stores:int -> unit
+val add_branch : t -> int -> mispredicted:bool -> unit
+val add_cache_miss : t -> int -> unit
 
 val charge_flushes : t -> int
 (** Number of staged-state writebacks performed so far (phase switches
@@ -74,12 +51,16 @@ val charge_flushes : t -> int
 
 val fast_path_bundles : t -> int
 (** Number of instruction bundles charged through the staged fast path
-    (i.e. every [add_bundle]/[add_bundle_idx] call). *)
+    (i.e. every [add_bundle] call). *)
 
 (* --- queries --- *)
 
 val phase : t -> Mtj_core.Phase.t -> snapshot
 val total : t -> snapshot
+
+val total_cycles : t -> float
+(** [(total t).cycles], read from the staged state without flushing. *)
+
 val ipc : snapshot -> float
 (** instructions per cycle; 0 when no cycles elapsed *)
 

@@ -16,77 +16,36 @@ type t = {
   mutable listeners : listener array;  (* first n_listeners slots live;
                                           newest listener last *)
   mutable n_listeners : int;
-  mutable interp_width : float;
-  mutable inv_width : float;  (* 1 / width(phase), kept in sync on phase
-                                 changes so the per-instruction paths
-                                 multiply instead of divide *)
   mutable insns : int;
-  cycles : float array;  (* one cell: float-array stores stay unboxed,
-                            unlike a mutable float field in this mixed
-                            record which would allocate per charge *)
-  cxfer : float array;  (* [Counters.cycles_xfer counters], cached so the
-                           charge paths hand cycle deltas to the counter
-                           layer through an unboxed float-array store
-                           instead of a boxed float argument *)
-  mispredict_penalty : float;
-  miss_penalty : float;
 }
 
 let create ?(config = Config.default) () =
-  let counters = Counters.create () in
   {
     cfg = config;
     predictor = Predictor.create ();
     dcache = Dcache.create ();
-    counters;
+    counters = Counters.create ();
     phase = Phase.Interpreter;
     phase_idx = Phase.index Phase.Interpreter;
     phase_stack = [];
     listeners = [||];
     n_listeners = 0;
-    interp_width = 2.0;
-    inv_width = 1.0 /. 2.0;
     insns = 0;
-    cycles = Array.make 1 0.0;
-    cxfer = Counters.cycles_xfer counters;
-    mispredict_penalty = 14.0;
-    miss_penalty = 18.0;
   }
 
-(* Issue widths for code styles that are properties of the framework
-   rather than of the hosted VM.  JIT trace code is dense straight-line
-   code; the blackhole interpreter is pointer-chasing and serial (the
-   paper's Table IV measures it at the lowest IPC of all phases); GC is
-   a tight, cache-warm loop. *)
-let width t = function
-  | Phase.Interpreter | Phase.Tracing | Phase.Native -> t.interp_width
-  | Phase.Jit -> 1.95
-  | Phase.Jit_call -> 1.75
-  | Phase.Gc_minor | Phase.Gc_major -> 2.0
-  | Phase.Blackhole -> 1.05
-
-let refresh_phase t =
-  t.inv_width <- 1.0 /. width t t.phase;
-  t.phase_idx <- Phase.index t.phase
-
 let set_interp_width t w =
-  t.interp_width <- w;
-  refresh_phase t
+  if t.insns > 0 then
+    invalid_arg "Engine.set_interp_width: instructions already charged";
+  Counters.set_interp_width t.counters w
 
 let[@inline] bump_insns t n =
   t.insns <- t.insns + n;
   if t.insns > t.cfg.Config.insn_budget then raise Budget_exhausted
 
-let[@inline] bump_cycles t cy =
-  Array.unsafe_set t.cycles 0 (Array.unsafe_get t.cycles 0 +. cy)
-
 let[@inline] emit t cost =
   let n = Cost.total cost in
   if n > 0 then begin
-    let cy = float_of_int n *. t.inv_width in
-    bump_cycles t cy;
-    Array.unsafe_set t.cxfer 0 cy;
-    Counters.add_bundle_idx_x t.counters t.phase_idx ~n ~loads:cost.Cost.load
+    Counters.add_bundle t.counters t.phase_idx ~n ~loads:cost.Cost.load
       ~stores:cost.Cost.store;
     bump_insns t n
   end
@@ -99,13 +58,7 @@ let emit_static t costs ~lo ~hi =
   done
 
 let[@inline] charge_branch t ~correct =
-  let cy =
-    t.inv_width +. (if correct then 0.0 else t.mispredict_penalty)
-  in
-  bump_cycles t cy;
-  Array.unsafe_set t.cxfer 0 cy;
-  Counters.add_branch_idx_x t.counters t.phase_idx
-    ~mispredicted:(not correct);
+  Counters.add_branch t.counters t.phase_idx ~mispredicted:(not correct);
   bump_insns t 1
 
 let branch t ~site ~taken =
@@ -114,24 +67,11 @@ let branch t ~site ~taken =
 let branch_indirect t ~site ~target =
   charge_branch t ~correct:(Predictor.indirect t.predictor ~site ~target)
 
-(* hoisted out of [mem_access]: one load / one store, shared by every
-   simulated heap access instead of being rebuilt per call *)
-let load_cost = Cost.make ~load:1 ()
-let store_cost = Cost.make ~store:1 ()
-
 let mem_access t ~addr ~write =
   let hit = Dcache.access t.dcache ~addr in
-  let cost = if write then store_cost else load_cost in
-  let cy = t.inv_width in
-  bump_cycles t cy;
-  Array.unsafe_set t.cxfer 0 cy;
-  Counters.add_bundle_idx_x t.counters t.phase_idx ~n:1 ~loads:cost.Cost.load
-    ~stores:cost.Cost.store;
-  if not hit then begin
-    bump_cycles t t.miss_penalty;
-    Array.unsafe_set t.cxfer 0 t.miss_penalty;
-    Counters.add_cache_miss_idx_x t.counters t.phase_idx
-  end;
+  let stores = Bool.to_int write in
+  Counters.add_bundle t.counters t.phase_idx ~n:1 ~loads:(1 - stores) ~stores;
+  if not hit then Counters.add_cache_miss t.counters t.phase_idx;
   bump_insns t 1
 
 let annot t a =
@@ -146,7 +86,7 @@ let push_phase t p =
   annot t (Annot.Phase_push p);
   t.phase_stack <- t.phase :: t.phase_stack;
   t.phase <- p;
-  refresh_phase t
+  t.phase_idx <- Phase.index p
 
 let pop_phase t =
   match t.phase_stack with
@@ -155,7 +95,7 @@ let pop_phase t =
       let popped = t.phase in
       t.phase <- p;
       t.phase_stack <- rest;
-      refresh_phase t;
+      t.phase_idx <- Phase.index p;
       (* delivered after restoring, so listeners reading [current_phase]
          see the parent phase while the annotation names the popped one *)
       annot t (Annot.Phase_pop popped)
@@ -186,10 +126,8 @@ let add_listener t l =
   t.n_listeners <- n + 1
 
 let total_insns t = t.insns
-let total_cycles t = t.cycles.(0)
+let total_cycles t = Counters.total_cycles t.counters
 let counters t = t.counters
 let charge_flushes t = Counters.charge_flushes t.counters
 let fast_path_bundles t = Counters.fast_path_bundles t.counters
 let config t = t.cfg
-let predictor t = t.predictor
-let dcache t = t.dcache

@@ -9,11 +9,10 @@
     annotations (delivered to listeners, playing the role of the paper's
     PinTool intercepting tagged [nop]s).
 
-    Cycle model: a bundle of [n] instructions issued under phase [p]
-    costs [n / width(p)] cycles; a mispredicted branch adds a fixed
-    pipeline-flush penalty; a cache miss adds a fixed stall.  Widths for
-    interpreter-style phases come from the running VM's {!Mtj_core.Profile};
-    widths for JIT/GC/blackhole phases are properties of that code style. *)
+    Cycle model: see {!Counters}.  A phase's cycles are derived from its
+    integer counters when queried — [insns / width(p)] plus a fixed
+    penalty per mispredicted branch and per cache miss — so charging adds
+    integers only and is associative. *)
 
 exception Budget_exhausted
 (** Raised when the configured instruction budget is reached; the harness
@@ -29,7 +28,9 @@ val create : ?config:Mtj_core.Config.t -> unit -> t
 
 val set_interp_width : t -> float -> unit
 (** Install the effective issue width used while in the [Interpreter],
-    [Tracing] and [Native] phases (from the VM's profile). *)
+    [Tracing] and [Native] phases (from the VM's profile).  A run has
+    one width: raises [Invalid_argument] once any instruction has been
+    charged. *)
 
 (* --- charging work --- *)
 
@@ -39,11 +40,10 @@ val emit : t -> Mtj_core.Cost.t -> unit
 val emit_static : t -> Mtj_core.Cost.t array -> lo:int -> hi:int -> unit
 (** [emit_static t costs ~lo ~hi] charges the preinterned bundles
     [costs.(lo) .. costs.(hi - 1)] in order, exactly as the equivalent
-    sequence of {!emit} calls would (same per-bundle cycle arithmetic,
-    same per-bundle budget check, so [Budget_exhausted] raises at the
-    identical bundle).  This is the block API for dispatch loops and the
-    trace executor, whose per-opcode costs are interned in code tables
-    at compile time.  Raises [Invalid_argument] when [lo < 0],
+    sequence of {!emit} calls would (same per-bundle budget check, so
+    [Budget_exhausted] raises at the identical bundle).  This is the
+    block API for dispatch loops and the trace executor, whose
+    per-opcode costs are interned in code tables at compile time.  Raises [Invalid_argument] when [lo < 0],
     [hi > Array.length costs] or [lo > hi]. *)
 
 val branch : t -> site:int -> taken:bool -> unit
@@ -82,6 +82,9 @@ val add_listener : t -> listener -> unit
 
 val total_insns : t -> int
 val total_cycles : t -> float
+(** [(Counters.total (counters t)).cycles], without flushing the staged
+    counter state (so reading it never moves {!charge_flushes}). *)
+
 val counters : t -> Counters.t
 
 val charge_flushes : t -> int
@@ -92,5 +95,3 @@ val fast_path_bundles : t -> int
     {!Counters.fast_path_bundles}). *)
 
 val config : t -> Mtj_core.Config.t
-val predictor : t -> Predictor.t
-val dcache : t -> Dcache.t

@@ -130,7 +130,8 @@ let rows : type a. a block -> a row list = function
       [
         nat "insns" "insns" (fun s -> s.insns)
           "instructions retired in the phase";
-        num "cycles" "cycles" (fun s -> s.cycles) "cycles charged to the phase";
+        num "cycles" "cycles" (fun s -> s.cycles)
+          "derived: insns/width + 14·branch_misses + 18·cache_misses";
         nat "branches" "branches" (fun s -> s.branches)
           "conditional and indirect branches";
         nat "branch_misses" "branches" (fun s -> s.branch_misses)

@@ -58,7 +58,7 @@ let metadata ~name ~tid ~value =
 
 (* counter events for the window between two cumulative samples *)
 let counter_events (prev : Sink.sample) (cur : Sink.sample) =
-  let ts = cur.Sink.s_cycles in
+  let ts = cur.Sink.s_counters.Counters.cycles in
   let p = prev.Sink.s_counters and c = cur.Sink.s_counters in
   let d_insns = c.Counters.insns - p.Counters.insns in
   let d_cycles = c.Counters.cycles -. p.Counters.cycles in
@@ -152,7 +152,8 @@ let export ?bench ?vm (sink : Sink.t) : Json.t =
   let si = ref 1 (* samples.(0) is the attach baseline *) in
   let flush_samples_upto ts =
     while
-      !si < Array.length samples && samples.(!si).Sink.s_cycles <= ts
+      !si < Array.length samples
+      && samples.(!si).Sink.s_counters.Counters.cycles <= ts
     do
       List.iter push (counter_events samples.(!si - 1) samples.(!si));
       incr si

@@ -16,7 +16,6 @@ type event = { kind : kind; at_insns : int; at_cycles : float }
 
 type sample = {
   s_insns : int;
-  s_cycles : float;
   s_ticks : int;
   s_counters : Counters.snapshot;
 }
@@ -50,14 +49,12 @@ type t = {
 
 (* Samples are taken from inside listener dispatch, i.e. mid-stream of
    the engine's staged charging fast path.  [Counters.total] flushes the
-   staged state before reading (and [total_cycles]/[insns] are always
-   exact), so ring-buffer samples observe exact counts with no explicit
-   synchronization here. *)
+   staged state before reading, so ring-buffer samples observe exact
+   counts with no explicit synchronization here. *)
 let take_sample t insns =
   t.rev_samples <-
     {
       s_insns = insns;
-      s_cycles = Engine.total_cycles t.eng;
       s_ticks = t.ticks;
       s_counters = Counters.total (Engine.counters t.eng);
     }

@@ -34,7 +34,6 @@ type event = { kind : kind; at_insns : int; at_cycles : float }
 (** One periodic counter sample: cumulative totals at the sample point. *)
 type sample = {
   s_insns : int;
-  s_cycles : float;
   s_ticks : int;  (** cumulative dispatch ticks *)
   s_counters : Mtj_machine.Counters.snapshot;  (** engine totals *)
 }

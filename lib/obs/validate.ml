@@ -171,9 +171,10 @@ let check_counters where block obj =
           | _ -> bad ()))
     (Catalog.counters block)
 
-(* per-phase insns sum to the total, which is the run's; and every
-   memory access charges through the staged bundle path, so a run with
-   loads or stores reports at least one fast-path bundle *)
+(* per-phase insns sum to the total, which is the run's; the total's
+   cycles are the run's too (one derivation, so compared exactly); and
+   every memory access charges through the staged bundle path, so a run
+   with loads or stores reports at least one fast-path bundle *)
 let check_phases run j =
   let phases =
     need "phases (object)" (Option.bind (Json.member "phases" j) Json.get_obj)
@@ -191,6 +192,10 @@ let check_phases run j =
   if total_insns <> int_field j "insns" then
     fail "%s: phases.total.insns %d <> run insns %d" run total_insns
       (int_field j "insns");
+  let total_cycles = num_field total "cycles" in
+  if total_cycles <> num_field j "cycles" then
+    fail "%s: phases.total.cycles %.17g <> run cycles %.17g" run total_cycles
+      (num_field j "cycles");
   let mem = int_field total "loads" + int_field total "stores" in
   if int_field j "fast_path_bundles" = 0 && mem > 0 then
     fail "%s: %d loads+stores but no fast-path bundles" run mem

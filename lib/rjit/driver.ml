@@ -136,7 +136,6 @@ module Make (L : LANG) = struct
         translated_refs = [];
       }
     in
-    Engine.set_interp_width (Ctx.engine rtc) profile.Profile.interp_width;
     (* frames and globals are GC roots *)
     let scan_dchain visit =
       let rec go = function

@@ -107,6 +107,9 @@ module Make (L : Driver.LANG) : S with type code = L.code = struct
        on what compiled before us on this domain (see Code_table) *)
     L.Table.reset ();
     let rtc = Ctx.create ~config () in
+    (* before [install_globals]: its set-up work is charged at this width *)
+    Mtj_machine.Engine.set_interp_width (Ctx.engine rtc)
+      profile.Profile.interp_width;
     let globals = Globals.create () in
     L.install_globals rtc globals;
     { rtc; driver = D.create ~profile rtc globals }

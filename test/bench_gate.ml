@@ -23,8 +23,8 @@
       are machine-independent (the allocation counter is monotonic and
       the simulation is deterministic), so this quotient needs no
       normalization; it catches regressions in the allocation-free value
-      fast paths (the immediate-tagged value representation, the unboxed
-      cycle-transfer charge path, frame pooling, hoisted key hashes)
+      fast paths (the immediate-tagged value representation, the
+      integer-only charge path, frame pooling, hoisted key hashes)
       that the wall-clock gates could absorb in noise.
     - {b JIT allocation gate}: the same quotient over the JIT configs
       (pypy / pypy-2tier / pycket).  Recording, optimizing and

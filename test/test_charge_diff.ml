@@ -1,20 +1,23 @@
 (** Differential test of the engine's staged (batched) charging fast
     path against a straight-line reference implementation of the
-    pre-batching algorithm.
+    unstaged algorithm.
 
-    The reference model below replays every charging rule exactly as the
-    unstaged engine performed it: per-event counter-array updates, the
-    per-bundle cycle arithmetic ([float n *. inv_width], penalty adds)
-    in the same order, per-bundle budget checks, and the sink's
-    record-then-sample annotation behaviour.  Random interleavings of
-    bundle emits / [emit_static] blocks / conditional + indirect
-    branches / memory accesses / phase pushes + pops / mid-stream
-    counter reads — plus deterministic budget-exhaustion boundaries —
-    are driven through a real [Engine] (with a [Sink] attached) and
-    through the model.  Everything observable must be BYTE-IDENTICAL:
-    per-phase counters (float cycles compared exactly via [%.17g]),
-    engine totals, the budget-exhaustion point, ring-buffer events and
-    counter samples. *)
+    The reference model below replays every charging rule event by
+    event: per-event integer counter-array updates, per-bundle budget
+    checks, and the sink's record-then-sample annotation behaviour.
+    Cycles are not charged but derived from the integer counters, so the
+    model restates that derivation.  Random interleavings of bundle
+    emits / [emit_static] blocks / conditional + indirect branches /
+    memory accesses / phase pushes + pops / mid-stream counter reads —
+    plus deterministic budget-exhaustion boundaries — are driven through
+    a real [Engine] (with a [Sink] attached) and through the model.
+    Everything observable must be BYTE-IDENTICAL: per-phase counters,
+    derived cycles (via [%.17g]), engine totals, the budget-exhaustion
+    point, ring-buffer events and counter samples.
+
+    The model also keeps the per-event float cycle accumulation the
+    derivation replaced ([float n *. inv_width] plus penalty adds); a
+    property holds the derived cycles within 1e-9 relative of it. *)
 
 module Engine = Mtj_machine.Engine
 module Counters = Mtj_machine.Counters
@@ -51,7 +54,6 @@ module Ref_model = struct
     pred : Predictor.t;
     dc : Dcache.t;
     insns_a : int array;
-    cycles_a : float array;
     branches_a : int array;
     misses_a : int array;
     loads_a : int array;
@@ -59,11 +61,12 @@ module Ref_model = struct
     cmisses_a : int array;
     mutable phase : Phase.t;
     mutable stack : Phase.t list;
-    mutable interp_width : float;
-    mutable inv_width : float;
+    interp_width : float;
     mutable insns : int;
-    mutable cycles : float;
     budget : int;
+    (* the per-event float accumulation, per phase and in total *)
+    fcycles_a : float array;
+    mutable fcycles : float;
     (* sink mirror *)
     window : int;
     mutable next_mark : int;
@@ -79,26 +82,29 @@ module Ref_model = struct
     | Phase.Gc_minor | Phase.Gc_major -> 2.0
     | Phase.Blackhole -> 1.05
 
-  let total_snapshot t =
-    let insns = ref 0 and cycles = ref 0.0 and branches = ref 0 in
-    let misses = ref 0 and loads = ref 0 and stores = ref 0 in
-    let cmisses = ref 0 in
+  (* the cycle derivation: insns / width + 14 x branch misses + 18 x
+     cache misses per phase, summed in phase order *)
+  let phase_cycles t i =
+    (float_of_int t.insns_a.(i) /. width t (Phase.of_index i))
+    +. (14.0 *. float_of_int t.misses_a.(i))
+    +. (18.0 *. float_of_int t.cmisses_a.(i))
+
+  let cycles t =
+    let c = ref 0.0 in
     for i = 0 to Phase.count - 1 do
-      insns := !insns + t.insns_a.(i);
-      cycles := !cycles +. t.cycles_a.(i);
-      branches := !branches + t.branches_a.(i);
-      misses := !misses + t.misses_a.(i);
-      loads := !loads + t.loads_a.(i);
-      stores := !stores + t.stores_a.(i);
-      cmisses := !cmisses + t.cmisses_a.(i)
+      c := !c +. phase_cycles t i
     done;
-    Printf.sprintf "i=%d c=%.17g b=%d bm=%d l=%d s=%d cm=%d" !insns !cycles
-      !branches !misses !loads !stores !cmisses
+    !c
+
+  let total_snapshot t =
+    let sum = Array.fold_left ( + ) 0 in
+    Printf.sprintf "i=%d c=%.17g b=%d bm=%d l=%d s=%d cm=%d" (sum t.insns_a)
+      (cycles t) (sum t.branches_a) (sum t.misses_a) (sum t.loads_a)
+      (sum t.stores_a) (sum t.cmisses_a)
 
   let take_sample t insns =
     t.rev_samples <-
-      Printf.sprintf "@%d cy=%.17g ticks=%d %s" insns t.cycles t.ticks
-        (total_snapshot t)
+      Printf.sprintf "@%d ticks=%d %s" insns t.ticks (total_snapshot t)
       :: t.rev_samples
 
   let create ~budget ~interp_width ~window =
@@ -108,7 +114,6 @@ module Ref_model = struct
         pred = Predictor.create ();
         dc = Dcache.create ();
         insns_a = Array.make n 0;
-        cycles_a = Array.make n 0.0;
         branches_a = Array.make n 0;
         misses_a = Array.make n 0;
         loads_a = Array.make n 0;
@@ -117,10 +122,10 @@ module Ref_model = struct
         phase = Phase.Interpreter;
         stack = [];
         interp_width;
-        inv_width = 1.0 /. interp_width;
         insns = 0;
-        cycles = 0.0;
         budget;
+        fcycles_a = Array.make n 0.0;
+        fcycles = 0.0;
         window;
         next_mark = window;
         ticks = 0;
@@ -136,60 +141,54 @@ module Ref_model = struct
     t.insns <- t.insns + n;
     if t.insns > t.budget then raise Budget
 
+  let add_fcycles t i cy =
+    t.fcycles <- t.fcycles +. cy;
+    t.fcycles_a.(i) <- t.fcycles_a.(i) +. cy
+
+  let inv_width t = 1.0 /. width t t.phase
+
   let emit t (c : Cost.t) =
     let n = Cost.total c in
     if n > 0 then begin
-      let cy = float_of_int n *. t.inv_width in
-      t.cycles <- t.cycles +. cy;
       let i = Phase.index t.phase in
+      add_fcycles t i (float_of_int n *. inv_width t);
       t.insns_a.(i) <- t.insns_a.(i) + n;
-      t.cycles_a.(i) <- t.cycles_a.(i) +. cy;
       t.loads_a.(i) <- t.loads_a.(i) + c.Cost.load;
       t.stores_a.(i) <- t.stores_a.(i) + c.Cost.store;
       bump t n
     end
 
   let charge_branch t correct =
-    let cy = t.inv_width +. (if correct then 0.0 else 14.0) in
-    t.cycles <- t.cycles +. cy;
     let i = Phase.index t.phase in
+    add_fcycles t i (inv_width t +. if correct then 0.0 else 14.0);
     t.insns_a.(i) <- t.insns_a.(i) + 1;
     t.branches_a.(i) <- t.branches_a.(i) + 1;
     if not correct then t.misses_a.(i) <- t.misses_a.(i) + 1;
-    t.cycles_a.(i) <- t.cycles_a.(i) +. cy;
     bump t 1
 
   let mem t ~addr ~write =
     let hit = Dcache.access t.dc ~addr in
-    let cy = t.inv_width in
-    t.cycles <- t.cycles +. cy;
     let i = Phase.index t.phase in
+    add_fcycles t i (inv_width t);
     t.insns_a.(i) <- t.insns_a.(i) + 1;
-    t.cycles_a.(i) <- t.cycles_a.(i) +. cy;
     if write then t.stores_a.(i) <- t.stores_a.(i) + 1
     else t.loads_a.(i) <- t.loads_a.(i) + 1;
     if not hit then begin
-      t.cycles <- t.cycles +. 18.0;
-      t.cmisses_a.(i) <- t.cmisses_a.(i) + 1;
-      t.cycles_a.(i) <- t.cycles_a.(i) +. 18.0
+      add_fcycles t i 18.0;
+      t.cmisses_a.(i) <- t.cmisses_a.(i) + 1
     end;
     bump t 1
 
   (* mirror of Sink.on_annot: record the event, then the sampling check *)
   let annot t tag =
+    let record name =
+      t.rev_events <- (name, t.insns, cycles t) :: t.rev_events
+    in
     (match tag with
     | `Tick -> t.ticks <- t.ticks + 1
-    | `Push p ->
-        t.rev_events <-
-          (Printf.sprintf "push:%s" (Phase.name p), t.insns, t.cycles)
-          :: t.rev_events
-    | `Pop p ->
-        t.rev_events <-
-          (Printf.sprintf "pop:%s" (Phase.name p), t.insns, t.cycles)
-          :: t.rev_events
-    | `Marker n ->
-        t.rev_events <-
-          (Printf.sprintf "marker:%d" n, t.insns, t.cycles) :: t.rev_events);
+    | `Push p -> record ("push:" ^ Phase.name p)
+    | `Pop p -> record ("pop:" ^ Phase.name p)
+    | `Marker n -> record (Printf.sprintf "marker:%d" n));
     if t.insns >= t.next_mark then begin
       take_sample t t.insns;
       t.next_mark <- t.next_mark + t.window
@@ -198,8 +197,7 @@ module Ref_model = struct
   let push t p =
     annot t (`Push p);
     t.stack <- t.phase :: t.stack;
-    t.phase <- p;
-    t.inv_width <- 1.0 /. width t t.phase
+    t.phase <- p
 
   let pop t =
     match t.stack with
@@ -208,13 +206,12 @@ module Ref_model = struct
         let popped = t.phase in
         t.phase <- p;
         t.stack <- rest;
-        t.inv_width <- 1.0 /. width t t.phase;
         annot t (`Pop popped)
 
   let phase_digest t p =
     let i = Phase.index p in
     Printf.sprintf "%s: i=%d c=%.17g b=%d bm=%d l=%d s=%d cm=%d" (Phase.name p)
-      t.insns_a.(i) t.cycles_a.(i) t.branches_a.(i) t.misses_a.(i)
+      t.insns_a.(i) (phase_cycles t i) t.branches_a.(i) t.misses_a.(i)
       t.loads_a.(i) t.stores_a.(i) t.cmisses_a.(i)
 
   let read_digest t =
@@ -222,7 +219,7 @@ module Ref_model = struct
       (List.map (phase_digest t) Phase.all
       @ [
           "total " ^ total_snapshot t;
-          Printf.sprintf "eng i=%d cy=%.17g" t.insns t.cycles;
+          Printf.sprintf "eng i=%d cy=%.17g" t.insns (cycles t);
         ])
 
   let apply t = function
@@ -292,8 +289,8 @@ let sink_samples_digest sink =
   String.concat "\n"
     (List.map
        (fun (s : Sink.sample) ->
-         Printf.sprintf "@%d cy=%.17g ticks=%d %s" s.Sink.s_insns
-           s.Sink.s_cycles s.Sink.s_ticks (snap_str s.Sink.s_counters))
+         Printf.sprintf "@%d ticks=%d %s" s.Sink.s_insns s.Sink.s_ticks
+           (snap_str s.Sink.s_counters))
        (Sink.samples sink))
 
 let model_samples_digest (m : Ref_model.t) =
@@ -311,7 +308,8 @@ type outcome = {
 
 let window = 64
 
-let run_engine ~budget ~interp_width (events : ev array) : outcome =
+(* [after] runs after every event that did not exhaust the budget *)
+let engine_run ?(after = ignore) ~budget ~interp_width (events : ev array) =
   let cfg = { Config.default with Config.insn_budget = budget } in
   let eng = Engine.create ~config:cfg () in
   Engine.set_interp_width eng interp_width;
@@ -321,33 +319,38 @@ let run_engine ~budget ~interp_width (events : ev array) : outcome =
   (try
      Array.iteri
        (fun i ev ->
-         try
-           match ev with
-           | Emit c -> Engine.emit eng c
-           | Emit_block (costs, lo, hi) -> Engine.emit_static eng costs ~lo ~hi
-           | Branch (site, taken) -> Engine.branch eng ~site ~taken
-           | Branch_ind (site, target) ->
-               Engine.branch_indirect eng ~site ~target
-           | Mem (addr, write) -> Engine.mem_access eng ~addr ~write
-           | Push p -> Engine.push_phase eng p
-           | Pop -> Engine.pop_phase eng
-           | Tick -> Engine.annot eng Annot.Dispatch_tick
-           | Marker n -> Engine.annot eng (Annot.App_marker n)
-           | Read -> reads := eng_read_digest eng :: !reads
-         with Engine.Budget_exhausted ->
-           stopped := Some i;
-           raise Exit)
+         (try
+            match ev with
+            | Emit c -> Engine.emit eng c
+            | Emit_block (costs, lo, hi) -> Engine.emit_static eng costs ~lo ~hi
+            | Branch (site, taken) -> Engine.branch eng ~site ~taken
+            | Branch_ind (site, target) ->
+                Engine.branch_indirect eng ~site ~target
+            | Mem (addr, write) -> Engine.mem_access eng ~addr ~write
+            | Push p -> Engine.push_phase eng p
+            | Pop -> Engine.pop_phase eng
+            | Tick -> Engine.annot eng Annot.Dispatch_tick
+            | Marker n -> Engine.annot eng (Annot.App_marker n)
+            | Read -> reads := eng_read_digest eng :: !reads
+          with Engine.Budget_exhausted ->
+            stopped := Some i;
+            raise Exit);
+         after eng)
        events
    with Exit -> ());
-  {
-    stopped_at = !stopped;
-    reads = List.rev !reads;
-    final = eng_read_digest eng;
-    events = sink_events_digest sink;
-    samples = sink_samples_digest sink;
-  }
+  ( eng,
+    {
+      stopped_at = !stopped;
+      reads = List.rev !reads;
+      final = eng_read_digest eng;
+      events = sink_events_digest sink;
+      samples = sink_samples_digest sink;
+    } )
 
-let run_model ~budget ~interp_width (events : ev array) : outcome =
+let run_engine ~budget ~interp_width events =
+  snd (engine_run ~budget ~interp_width events)
+
+let model_run ~budget ~interp_width (events : ev array) =
   let m = Ref_model.create ~budget ~interp_width ~window in
   let reads = ref [] in
   let stopped = ref None in
@@ -363,13 +366,17 @@ let run_model ~budget ~interp_width (events : ev array) : outcome =
                raise Exit))
        events
    with Exit -> ());
-  {
-    stopped_at = !stopped;
-    reads = List.rev !reads;
-    final = Ref_model.read_digest m;
-    events = model_events_digest m;
-    samples = model_samples_digest m;
-  }
+  ( m,
+    {
+      stopped_at = !stopped;
+      reads = List.rev !reads;
+      final = Ref_model.read_digest m;
+      events = model_events_digest m;
+      samples = model_samples_digest m;
+    } )
+
+let run_model ~budget ~interp_width events =
+  snd (model_run ~budget ~interp_width events)
 
 let outcome_str (o : outcome) =
   Printf.sprintf
@@ -429,21 +436,31 @@ let gen_events rng n : ev array =
   done;
   out
 
+let widths = [| 1.0; 2.0; 2.8; 3.5 |]
+
+(* a random event stream from [seed], plus its budget and the rng for
+   further draws *)
+let stream seed =
+  let rng = Random.State.make [| seed; 0xC4A6 |] in
+  let n = 20 + Random.State.int rng 400 in
+  let events = gen_events rng n in
+  (* small budgets sometimes, to land the exhaustion boundary inside
+     the stream (including inside emit_static blocks) *)
+  let budget =
+    if Random.State.int rng 3 = 0 then 50 + Random.State.int rng 400
+    else Config.default.Config.insn_budget
+  in
+  (rng, events, budget)
+
+let seed_arb = QCheck.make QCheck.Gen.(int_range 1 1_000_000)
+
 let prop_batched_identical =
   QCheck.Test.make ~count:300
     ~name:"staged charging is byte-identical to the reference algorithm"
-    (QCheck.make QCheck.Gen.(int_range 1 1_000_000))
+    seed_arb
     (fun seed ->
-      let rng = Random.State.make [| seed; 0xC4A6 |] in
-      let n = 20 + Random.State.int rng 400 in
-      let events = gen_events rng n in
-      (* small budgets sometimes, to land the exhaustion boundary inside
-         the stream (including inside emit_static blocks) *)
-      let budget =
-        if Random.State.int rng 3 = 0 then 50 + Random.State.int rng 400
-        else Config.default.Config.insn_budget
-      in
-      let interp_width = [| 1.0; 2.0; 2.8; 3.5 |].(Random.State.int rng 4) in
+      let rng, events, budget = stream seed in
+      let interp_width = widths.(Random.State.int rng 4) in
       let e = run_engine ~budget ~interp_width events in
       let m = run_model ~budget ~interp_width events in
       if outcome_str e <> outcome_str m then
@@ -451,6 +468,57 @@ let prop_batched_identical =
           "seed %d diverged:\n--- reference:\n%s\n--- staged:\n%s" seed
           (outcome_str m) (outcome_str e)
       else true)
+
+let rel_close a b =
+  Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
+
+let prop_derived_near_float =
+  QCheck.Test.make ~count:100
+    ~name:"derived cycles within 1e-9 of the per-event float sums"
+    seed_arb
+    (fun seed ->
+      let _, events, budget = stream seed in
+      Array.for_all
+        (fun interp_width ->
+          let eng, _ = engine_run ~budget ~interp_width events in
+          let m, _ = model_run ~budget ~interp_width events in
+          let c = Engine.counters eng in
+          let near what derived summed =
+            rel_close derived summed
+            || QCheck.Test.fail_reportf
+                 "seed %d width %g %s: derived %.17g, float sum %.17g" seed
+                 interp_width what derived summed
+          in
+          near "total" (Engine.total_cycles eng) m.Ref_model.fcycles
+          && List.for_all
+               (fun p ->
+                 near (Phase.name p) (Counters.phase c p).Counters.cycles
+                   m.Ref_model.fcycles_a.(Phase.index p))
+               Phase.all)
+        widths)
+
+let prop_total_cycles_unflushed =
+  QCheck.Test.make ~count:200
+    ~name:"total_cycles is the total's cycles and never flushes"
+    seed_arb
+    (fun seed ->
+      let rng, events, budget = stream seed in
+      let interp_width = widths.(Random.State.int rng 4) in
+      let run after = engine_run ~after ~budget ~interp_width events in
+      (* read mid-stream, before [Counters.total] flushes the staged state *)
+      let exact = ref true in
+      ignore
+        (run (fun eng ->
+             let staged = Engine.total_cycles eng in
+             if staged <> (Counters.total (Engine.counters eng)).Counters.cycles
+             then exact := false));
+      let peeked, o_peeked =
+        run (fun eng -> ignore (Engine.total_cycles eng))
+      in
+      let plain, o_plain = run ignore in
+      !exact
+      && Engine.charge_flushes peeked = Engine.charge_flushes plain
+      && outcome_str o_peeked = outcome_str o_plain)
 
 (* ---------- deterministic scenarios ---------- *)
 
@@ -585,4 +653,6 @@ let suite =
       scenario_listener_order;
     Alcotest.test_case "fast-path stats" `Quick scenario_flush_stats;
     QCheck_alcotest.to_alcotest prop_batched_identical;
+    QCheck_alcotest.to_alcotest prop_derived_near_float;
+    QCheck_alcotest.to_alcotest prop_total_cycles_unflushed;
   ]

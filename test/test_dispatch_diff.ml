@@ -72,8 +72,8 @@ let samples_digest sink =
   String.concat "\n"
     (List.map
        (fun (s : Sink.sample) ->
-         Printf.sprintf "@%d cy=%.17g ticks=%d %s" s.Sink.s_insns
-           s.Sink.s_cycles s.Sink.s_ticks (snap_str s.Sink.s_counters))
+         Printf.sprintf "@%d ticks=%d %s" s.Sink.s_insns s.Sink.s_ticks
+           (snap_str s.Sink.s_counters))
        (Sink.samples sink))
 
 (* compile/run statistics that must agree between dispatch modes; the

@@ -149,6 +149,16 @@ let test_counters_ipc () =
   let ipc = Counters.ipc s in
   Alcotest.(check bool) "ipc near width" true (ipc > 1.9 && ipc <= 2.01)
 
+let test_interp_width_fixed_before_charges () =
+  let e = Engine.create () in
+  Engine.set_interp_width e 3.0;
+  Engine.annot e Annot.Dispatch_tick;
+  Engine.set_interp_width e 2.5;
+  Engine.emit e (Cost.make ~alu:1 ());
+  Alcotest.check_raises "width after a charge"
+    (Invalid_argument "Engine.set_interp_width: instructions already charged")
+    (fun () -> Engine.set_interp_width e 2.0)
+
 let test_counters_mpki () =
   let e = Engine.create () in
   Engine.emit e (Cost.make ~alu:999 ());
@@ -185,6 +195,8 @@ let suite =
     Alcotest.test_case "engine listener" `Quick test_engine_listener;
     Alcotest.test_case "annotations are free" `Quick test_engine_annotations_free;
     Alcotest.test_case "counters ipc" `Quick test_counters_ipc;
+    Alcotest.test_case "interp width fixed before charges" `Quick
+      test_interp_width_fixed_before_charges;
     Alcotest.test_case "counters mpki" `Quick test_counters_mpki;
     Alcotest.test_case "mem access counts" `Quick test_mem_access_counts;
   ]

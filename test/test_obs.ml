@@ -790,6 +790,22 @@ let contains s sub =
   in
   go 0
 
+(* the run's cycles are its phases' total, compared exactly *)
+let test_rejects_cycles_mismatch () =
+  List.iter
+    (fun path ->
+      match
+        Validate.metrics (set_run path (Json.Float 10.000000000000002) (mdoc 7))
+      with
+      | Ok _ ->
+          Alcotest.failf "validator accepted a different %s"
+            (String.concat "." path)
+      | Error e ->
+          Alcotest.(check bool)
+            ("rejected for its cycles: " ^ e)
+            true (contains e "cycles"))
+    [ [ "cycles" ]; [ "phases"; "total"; "cycles" ] ]
+
 (* where a counter sits in the fixture documents; trace-row counters
    are exercised on the first row *)
 let fixture_path (c : Catalog.counter) =
@@ -989,6 +1005,8 @@ let suite =
       test_rejects_corrupt_gc;
     Alcotest.test_case "validator rejects negative ticks" `Quick
       test_rejects_negative_ticks;
+    Alcotest.test_case "validator rejects run cycles off the phase total"
+      `Quick test_rejects_cycles_mismatch;
     Alcotest.test_case "validator rejects negative trace-row counters" `Quick
       test_rejects_negative_trace_row;
     Alcotest.test_case "validator rejects an unknown trace kind" `Quick
