@@ -85,8 +85,7 @@ let tier_policy_arg =
                  $(b,baseline) compiles cheap unoptimized traces early and \
                  never promotes, $(b,adaptive) starts at the baseline tier \
                  and promotes hot guard-stable traces (demoting them again \
-                 if bridges proliferate); unset, \\$(b,MTJ_TIER_POLICY) \
-                 applies")
+                 if bridges proliferate)")
 
 let apply_tier_policy = function Some p -> R.set_tier_policy p | None -> ()
 
@@ -394,22 +393,13 @@ let exec_cmd =
   let nojit_arg =
     Arg.(value & flag & info [ "no-jit" ] ~doc:"disable the meta-tracing JIT")
   in
-  let tiered_arg =
-    Arg.(
-      value & flag
-      & info [ "tiered" ]
-          ~doc:
-            "two-tier compilation: compile traces quickly first,              recompile hot ones through the full optimizer")
-  in
-  let run file nojit tiered budget tier_policy =
+  let run file nojit budget tier_policy =
     apply_tier_policy tier_policy;
     let src = In_channel.with_open_text file In_channel.input_all in
     let config =
       with_tier_policy
         (Mtj_core.Config.with_budget budget
-           (if nojit then Mtj_core.Config.no_jit
-            else if tiered then Mtj_core.Config.two_tier
-            else Mtj_core.Config.default))
+           (if nojit then Mtj_core.Config.no_jit else Mtj_core.Config.default))
     in
     let is_scheme =
       Filename.check_suffix file ".rkt" || Filename.check_suffix file ".scm"
@@ -445,8 +435,7 @@ let exec_cmd =
   in
   Cmd.v (Cmd.info "exec" ~doc)
     Term.(
-      const run $ file_arg $ nojit_arg $ tiered_arg $ budget_arg
-      $ tier_policy_arg)
+      const run $ file_arg $ nojit_arg $ budget_arg $ tier_policy_arg)
 
 let () =
   let doc = "meta-tracing JIT workload characterization tools" in

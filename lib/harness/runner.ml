@@ -89,19 +89,12 @@ let jit_enabled = function
   | Pypy_jit | Pypy_tiered | Pypy_baseline | Pycket_jit -> true
   | _ -> false
 
-(* the --tier-policy setting; None = auto (MTJ_TIER_POLICY, else the
-   per-vm_config default: Pypy_tiered adaptive, Pypy_baseline baseline,
-   everything else optimizing) *)
+(* the --tier-policy setting; None = each vm_config's default
+   (Pypy_tiered adaptive, Pypy_baseline baseline, everything else
+   optimizing) *)
 let tier_policy_setting = Atomic.make None
 let set_tier_policy p = Atomic.set tier_policy_setting (Some p)
-
-let tier_policy_override () =
-  match Atomic.get tier_policy_setting with
-  | Some p -> Some p
-  | None ->
-      Option.bind
-        (Sys.getenv_opt "MTJ_TIER_POLICY")
-        Config.tier_policy_of_string
+let tier_policy_override () = Atomic.get tier_policy_setting
 
 let config_of ?(budget = default_budget) vc =
   let base =

@@ -120,9 +120,8 @@ val jobs : unit -> int
 val set_tier_policy : Mtj_core.Config.tier_policy -> unit
 (** Force the tier policy of every JIT configuration built after the
     call ([Pypy_jit]/[Pycket_jit]; [Pypy_tiered] and [Pypy_baseline]
-    pin their policy by name and ignore the override).  Unset, the
-    policy is "auto": [MTJ_TIER_POLICY]
-    ("optimizing"/"baseline"/"adaptive"), else each config's default.
+    pin their policy by name and ignore the override).  Unset, each
+    config keeps its default.
     This {e changes simulated behavior}: compile costs, warmup and trace tiers all move with the
     policy. *)
 

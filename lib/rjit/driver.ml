@@ -190,10 +190,7 @@ module Make (L : LANG) = struct
 
   (* --- resume snapshots over tracked frames --- *)
 
-  let source_of_tval (tv : Recorder.tval) : Ir.source =
-    match tv.Recorder.src with
-    | Ir.Reg r -> Ir.S_reg r
-    | Ir.Const v -> Ir.S_const v
+  let source_of_tval (tv : Recorder.tval) = Ir.source_of_operand tv.Recorder.src
 
   let chain_outermost_first (bottom : tframe) =
     let rec go acc (f : tframe) =
@@ -247,7 +244,7 @@ module Make (L : LANG) = struct
   (* the resume record is always fresh (the optimizer memoizes whole
      records, and a virtual's descriptor depends on the guard's position);
      only its frames and arrays are shared *)
-  let build_resume rec_ (innermost : tframe) : Ir.resume =
+  let build_resume rec_ (chain : tframe list) : Ir.resume =
     let rec go prev = function
       | [] -> []
       | f :: rest -> (
@@ -256,100 +253,116 @@ module Make (L : LANG) = struct
           | [] -> snap_frame None f :: go [] rest)
     in
     {
-      Ir.frames =
-        go (Recorder.cur_resume rec_).Ir.frames (chain_outermost_first innermost);
+      Ir.frames = go (Recorder.cur_resume rec_).Ir.frames chain;
       r_virtuals = [||];
     }
 
-  type saved_frame = {
-    s_code : L.code;
-    s_pc : int;
-    s_locals : Value.t array;
-    s_stack : Value.t array;
-    s_discard : bool;
-  }
+  (* --- frame chains in the exit layout ---
 
-  let save_chain (innermost : tframe) =
-    List.map
+     One frame-state format for every way out of JIT code and out of a
+     tracing session ({!Executor}'s exit layout): the frames' shapes, as
+     resume snapshots outermost first, and one flat array holding each
+     frame's locals then its stack.  For a bridge, flat slot [i] is
+     entry register [i]. *)
+
+  type exit_layout = Ir.frame_snap list * Value.t array
+
+  (* the tracked chain's resume snapshot, and its exit layout *)
+  let snapshot rec_ (innermost : tframe) : Ir.resume * exit_layout =
+    let chain = chain_outermost_first innermost in
+    let resume = build_resume rec_ chain in
+    let n =
+      List.fold_left
+        (fun n (f : tframe) -> n + Array.length f.Frame.locals + f.Frame.sp)
+        0 chain
+    in
+    let values = Array.make n Value.nil in
+    let next = ref 0 in
+    let put (tv : Recorder.tval) =
+      values.(!next) <- tv.Recorder.v;
+      incr next
+    in
+    List.iter
       (fun (f : tframe) ->
-        {
-          s_code = f.Frame.code;
-          s_pc = f.Frame.pc;
-          s_locals = Array.map (fun (tv : Recorder.tval) -> tv.Recorder.v) f.Frame.locals;
-          s_stack =
-            Array.init f.Frame.sp (fun i -> f.Frame.stack.(i).Recorder.v);
-          s_discard = f.Frame.discard_return;
-        })
-      (chain_outermost_first innermost)
+        Array.iter put f.Frame.locals;
+        for i = 0 to f.Frame.sp - 1 do
+          put f.Frame.stack.(i)
+        done)
+      chain;
+    (resume, (resume.Ir.frames, values))
 
-  (* rebuild a direct frame chain from saved state; [parent] is the frame
-     below the traced region *)
-  let rebuild_saved t (saved : saved_frame list) (parent : dframe option) :
-      dframe =
+  (* build the frame chain an exit layout describes on top of [parent],
+     drawing arrays from [pool]; flat slot [i] holding [v] becomes
+     [slot i v].  Returns the innermost frame. *)
+  let build_chain ~pool ~(slot : int -> Value.t -> 'v)
+      ((frames, values) : exit_layout) (parent : ('v, L.code) Frame.t option) :
+      ('v, L.code) Frame.t =
+    let next = ref 0 in
+    let fill (dst : 'v array) n =
+      for i = 0 to n - 1 do
+        dst.(i) <- slot !next values.(!next);
+        incr next
+      done
+    in
     List.fold_left
-      (fun parent s ->
-        let f = make_dframe t s.s_code parent in
-        f.Frame.pc <- s.s_pc;
-        f.Frame.discard_return <- s.s_discard;
-        Array.blit s.s_locals 0 f.Frame.locals 0 (Array.length s.s_locals);
-        Array.iteri (fun i v -> f.Frame.stack.(i) <- v) s.s_stack;
-        f.Frame.sp <- Array.length s.s_stack;
+      (fun parent (s : Ir.frame_snap) ->
+        let code = L.Table.lookup s.Ir.snap_code in
+        let f =
+          Frame.create_pooled ~pool ~code ~code_ref:s.Ir.snap_code
+            ~nlocals:(L.nlocals code) ~stack_size:(L.stack_size code) ~parent
+        in
+        f.Frame.pc <- s.Ir.snap_pc;
+        f.Frame.discard_return <- s.Ir.snap_discard;
+        fill f.Frame.locals (Array.length s.Ir.snap_locals);
+        fill f.Frame.stack (Array.length s.Ir.snap_stack);
+        f.Frame.sp <- Array.length s.Ir.snap_stack;
         Some f)
-      parent saved
+      parent frames
     |> Option.get
 
-  let rebuild_deopt t (frames : Executor.deopt_frame list)
-      (parent : dframe option) : dframe =
-    rebuild_saved t
-      (List.map
-         (fun (d : Executor.deopt_frame) ->
-           {
-             s_code = L.Table.lookup d.Executor.df_code;
-             s_pc = d.Executor.df_pc;
-             s_locals = d.Executor.df_locals;
-             s_stack = d.Executor.df_stack;
-             s_discard = d.Executor.df_discard;
-           })
-         frames)
-      parent
+  (* interpreter frames to continue from *)
+  let rebuild t layout parent : dframe =
+    build_chain ~pool:(Ctx.frame_pool t.rtc) ~slot:(fun _ v -> v) layout parent
+
+  (* a tracked slot: flat slot [i] is entry register [i] *)
+  let tval_of_value i v : Recorder.tval = { Recorder.v; src = Ir.Reg i }
 
   (* --- recording sessions (loops and bridges share this) --- *)
 
   type session_end =
-    | Closed of Ir.op array * saved_frame list
+    | Closed of Ir.op array * exit_layout
     | Closed_return of Ir.op array * Value.t
         (* the traced region returned out of its bottom frame; the value
            flows to the caller of the region (bridges only) *)
-    | Aborted of string * saved_frame list
+    | Aborted of string * exit_layout
 
   (* runs the tracing meta-interpreter until [close] says the trace is
      complete or tracing aborts; returns the recorded ops and the
      concrete state to resume direct execution from *)
-  let record_session t (rec_ : Recorder.t) (start : tframe) ~target_key
-      ~allow_finish
+  let record_session t (rec_ : Recorder.t) (start : tframe) ~allow_finish
       ~(close : steps:int -> tframe -> bool) ~(finish : Recorder.t -> tframe -> unit) :
       session_end =
     let tcur = ref start in
     t.tracking <- Some start;
-    let last_saved = ref (save_chain start) in
+    let last_layout = ref ([], [||]) in
     let finish_session result =
       t.tracking <- None;
       result
     in
-    ignore target_key;
     let rec loop steps =
       let f = !tcur in
       if close ~steps f then begin
         finish rec_ f;
-        Closed (Recorder.ops rec_, save_chain f)
+        Closed (Recorder.ops rec_, snd (snapshot rec_ f))
       end
       else begin
         (* inner loops that are already compiled are traced straight
            through (unrolled); overly long unrolls hit the trace-length
            abort, as in RPython *)
-        last_saved := save_chain f;
-        Recorder.begin_bytecode rec_ ~resume:(build_resume rec_ f)
-          ~code:f.Frame.code_ref ~pc:f.Frame.pc;
+        let resume, layout = snapshot rec_ f in
+        last_layout := layout;
+        Recorder.begin_bytecode rec_ ~resume ~code:f.Frame.code_ref
+          ~pc:f.Frame.pc;
         match T.step_ref rec_ t.globals f with
         | Frame.Continue -> loop (steps + 1)
         | Frame.Call nf ->
@@ -388,18 +401,16 @@ module Make (L : LANG) = struct
           match !tcur with
           | f -> Printf.sprintf " @%s:%d" (L.name f.Frame.code) f.Frame.pc
         in
-        finish_session (Aborted (msg ^ where, !last_saved))
+        finish_session (Aborted (msg ^ where, !last_layout))
     | exception Ops_intf.Lang_error _ ->
-        finish_session (Aborted ("language error while tracing", !last_saved))
+        finish_session (Aborted ("language error while tracing", !last_layout))
     | exception Rarith.Type_error _ ->
-        finish_session (Aborted ("type error while tracing", !last_saved))
+        finish_session (Aborted ("type error while tracing", !last_layout))
     | exception Division_by_zero ->
-        finish_session (Aborted ("division by zero while tracing", !last_saved))
+        finish_session (Aborted ("division by zero while tracing", !last_layout))
     | exception e ->
         t.tracking <- None;
         raise e
-
-  let tval_of_value r i v : Recorder.tval = ignore r; { Recorder.v; src = Ir.Reg i }
 
   (* --- tracing a loop --- *)
 
@@ -415,7 +426,7 @@ module Make (L : LANG) = struct
         ~code_ref:f.Frame.code_ref ~nlocals:entry_slots
         ~stack_size:(L.stack_size f.Frame.code) ~parent:None
     in
-    Array.iteri (fun i v -> tf.Frame.locals.(i) <- tval_of_value rec_ i v) f.Frame.locals;
+    Array.iteri (fun i v -> tf.Frame.locals.(i) <- tval_of_value i v) f.Frame.locals;
     tf.Frame.pc <- f.Frame.pc;
     let close ~steps (fr : tframe) =
       steps > 0 && fr.Frame.parent = None
@@ -427,8 +438,8 @@ module Make (L : LANG) = struct
       Recorder.emit_n rec_ Ir.Jump args
     in
     let orig_parent = f.Frame.parent in
-    match record_session t rec_ tf ~target_key:key ~allow_finish:false ~close ~finish with
-    | Closed (ops, saved) ->
+    match record_session t rec_ tf ~allow_finish:false ~close ~finish with
+    | Closed (ops, layout) ->
         let trace =
           if Tierpolicy.compile_tier t.cfg <= 1 then begin
             (* baseline tier: skip the optimizer, pay a fraction of the
@@ -453,9 +464,9 @@ module Make (L : LANG) = struct
           end
         in
         site.state <- `Compiled trace;
-        rebuild_saved t saved orig_parent
+        rebuild t layout orig_parent
     | Closed_return _ -> assert false (* loops never record [finish] *)
-    | Aborted (msg, saved) ->
+    | Aborted (msg, layout) ->
         Engine.annot eng (Annot.Trace_abort (fst key));
         Jitlog.record_abort t.jitlog msg;
         site.aborts <- site.aborts + 1;
@@ -464,7 +475,7 @@ module Make (L : LANG) = struct
           site.state <- `Blacklisted;
           Jitlog.record_blacklist t.jitlog
         end;
-        rebuild_saved t saved orig_parent
+        rebuild t layout orig_parent
 
   (* --- tracing a bridge from a deoptimized state --- *)
 
@@ -486,52 +497,17 @@ module Make (L : LANG) = struct
     | Ir.Loop { loop_code; loop_pc } -> (loop_code, loop_pc)
     | Ir.Bridge { loop_code; loop_pc; _ } -> (loop_code, loop_pc)
 
-  let trace_bridge t (g : Ir.guard) (frames : Executor.deopt_frame list)
+  let trace_bridge t (g : Ir.guard) ((frames, values) as layout : exit_layout)
       ~loop_key ~(owner : Ir.trace option) ~(orig_parent : dframe option) :
       jit_outcome =
     let eng = Ctx.engine t.rtc in
     Engine.push_phase eng Phase.Tracing;
     Fun.protect ~finally:(fun () -> Engine.pop_phase eng) @@ fun () ->
-    (* flatten the deopt state: entry registers in frame order, locals
-       then stack for each frame, outermost first *)
-    let next = ref 0 in
-    let entry_slots =
-      List.fold_left
-        (fun acc (d : Executor.deopt_frame) ->
-          acc
-          + Array.length d.Executor.df_locals
-          + Array.length d.Executor.df_stack)
-        0 frames
-    in
+    let entry_slots = Array.length values in
     let rec_ = Recorder.create t.rtc ~entry_slots in
-    let bottom_to_top =
-      List.fold_left
-        (fun parent (d : Executor.deopt_frame) ->
-          let code = L.Table.lookup d.Executor.df_code in
-          let f : tframe =
-            Frame.create_pooled ~pool:(Recorder.pool rec_) ~code
-              ~code_ref:d.Executor.df_code ~nlocals:(L.nlocals code)
-              ~stack_size:(L.stack_size code) ~parent
-          in
-          f.Frame.pc <- d.Executor.df_pc;
-          f.Frame.discard_return <- d.Executor.df_discard;
-          Array.iteri
-            (fun i v ->
-              let r = !next in
-              incr next;
-              f.Frame.locals.(i) <- { Recorder.v; src = Ir.Reg r })
-            d.Executor.df_locals;
-          Array.iteri
-            (fun i v ->
-              let r = !next in
-              incr next;
-              f.Frame.stack.(i) <- { Recorder.v; src = Ir.Reg r })
-            d.Executor.df_stack;
-          f.Frame.sp <- Array.length d.Executor.df_stack;
-          Some f)
-        None frames
+    let start =
+      build_chain ~pool:(Recorder.pool rec_) ~slot:tval_of_value layout None
     in
-    let start = Option.get bottom_to_top in
     let close ~steps (fr : tframe) =
       steps > 0 && fr.Frame.parent = None
       && (fr.Frame.code_ref, fr.Frame.pc) = loop_key
@@ -625,24 +601,21 @@ module Make (L : LANG) = struct
     in
     let region_discard =
       match frames with
-      | outermost :: _ -> outermost.Executor.df_discard
+      | outermost :: _ -> outermost.Ir.snap_discard
       | [] -> false
     in
-    match
-      record_session t rec_ start ~target_key:loop_key ~allow_finish:true
-        ~close ~finish
-    with
-    | Closed (ops, saved) ->
+    match record_session t rec_ start ~allow_finish:true ~close ~finish with
+    | Closed (ops, layout) ->
         compile_bridge ops;
-        J_frame (rebuild_saved t saved orig_parent)
+        J_frame (rebuild t layout orig_parent)
     | Closed_return (ops, v) ->
         compile_bridge ops;
         continue_after_region_return ~orig_parent ~discard:region_discard v
-    | Aborted (msg, saved) ->
+    | Aborted (msg, layout) ->
         Engine.annot eng (Annot.Trace_abort (fst loop_key));
         Jitlog.record_abort t.jitlog msg;
         g.Ir.bridgeable <- false;
-        J_frame (rebuild_saved t saved orig_parent)
+        J_frame (rebuild t layout orig_parent)
 
   (* --- entering compiled code --- *)
 
@@ -659,11 +632,12 @@ module Make (L : LANG) = struct
         continue_after_region_return ~orig_parent
           ~discard:f.Frame.discard_return v
     | None -> (
+        let layout = (ex.Executor.frames, ex.Executor.values) in
         match ex.Executor.failed_guard with
         | Some g when ex.Executor.request_bridge && g.Ir.bridgeable ->
-            trace_bridge t g ex.Executor.frames ~loop_key:(loop_key_of trace)
+            trace_bridge t g layout ~loop_key:(loop_key_of trace)
               ~owner:ex.Executor.failed_in ~orig_parent
-        | Some _ | None -> J_frame (rebuild_deopt t ex.Executor.frames orig_parent))
+        | Some _ | None -> J_frame (rebuild t layout orig_parent))
 
   (* --- the JIT portal, consulted at every loop header --- *)
 

@@ -31,20 +31,8 @@ let checked_sub x y =
   let r = x - y in
   if (x >= 0) <> (y >= 0) && (r >= 0) <> (x >= 0) then raise Overflow else r
 
-(* min_int-safe, mirroring [Rarith.mul_overflows]: explicit ranges
-   instead of [abs] (whose min_int result is negative), and the
-   quotient probe never divides by -1 (hardware trap) *)
 let checked_mul x y =
-  let overflows =
-    x <> 0 && y <> 0
-    &&
-    if x = -1 then y = min_int
-    else if y = -1 then x = min_int
-    else
-      (x < -(1 lsl 31) || x > 1 lsl 31 || y < -(1 lsl 31) || y > 1 lsl 31)
-      && (x * y) / x <> y
-  in
-  if overflows then raise Overflow else x * y
+  if Rarith.mul_overflows x y then raise Overflow else x * y
 
 let bool v = Value.of_bool v
 

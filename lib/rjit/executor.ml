@@ -10,36 +10,32 @@
     raised by one deoptimizes to the current bytecode boundary, where the
     interpreter re-executes and reports it.
 
-    Two execution strategies share these semantics:
+    Every way out of trace code uses one frame-state format, the {e exit
+    layout}: the frames' shapes are resume data ([Ir.frame_snap]s,
+    outermost first) and their values one flat array holding each
+    frame's locals, then its stack.  That is also a bridge's
+    entry-register layout, so a bridged guard materializes straight into
+    the bridge's register file.
 
-    - {!run_ref}, the reference loop, re-matches [op.opcode] and
-      re-decodes operands on every iteration;
-    - {!run}, the closure-threaded loop (after Izawa et al. 2021):
-      {!precompile}/[code_for] translate the op array {e once} into an
-      array of pre-bound step closures — operands resolved to direct
-      register indices or hoisted constants, guards pre-bound to their
-      resume data and fail path, compare+guard and int-op+overflow-guard
-      pairs fused into superinstructions — cached per context and keyed
-      by trace id, invalidated when a bridge attachment bumps the
-      trace's [code_version].
-
-    Both charge the simulated machine identically: every counter the
-    engine sees is byte-for-byte the same under either strategy. *)
+    Execution is closure-threaded (after Izawa et al. 2021):
+    {!precompile}/[code_for] translate the op array {e once} into an
+    array of pre-bound step closures — operands resolved to direct
+    register indices or hoisted constants, guards pre-bound to their
+    resume data and fail path, compare+guard and int-op+overflow-guard
+    pairs fused into superinstructions — cached per context and keyed by
+    trace id, invalidated when a bridge attachment bumps the trace's
+    [code_version].  The reference interpreting loop the translation
+    must match, charge for charge, is test code
+    (test/ref_executor.ml). *)
 
 open Mtj_core
 open Mtj_rt
 module Engine = Mtj_machine.Engine
 
-type deopt_frame = {
-  df_code : int;
-  df_pc : int;
-  df_locals : Value.t array;
-  df_stack : Value.t array;
-  df_discard : bool;
-}
-
 type exit_state = {
-  frames : deopt_frame list;  (* outermost first; empty on [finished] *)
+  frames : Ir.frame_snap list;
+      (* the frames' shapes, outermost first; empty on [finished] *)
+  values : Value.t array;  (* their slots, in the exit layout *)
   failed_guard : Ir.guard option;
   failed_in : Ir.trace option;
       (* the trace the failing guard belongs to (the executor may have
@@ -55,9 +51,17 @@ let as_obj = Semantics.as_obj
 let as_int = Eval_op.as_int
 let as_float = Eval_op.as_float
 
-(* --- materialization of resume data --- *)
+(* --- the exit layout: materializing resume data --- *)
 
-let materialize_frames rtc (resume : Ir.resume) (regs : Value.t array) =
+(* Write the frame state [resume] describes into [dst], in the exit
+   layout, reading registers from [regs].  Virtual objects are built
+   through one memo per resume (shared descriptors materialize once,
+   cycles are fine).  Allocation order is simulated state: [Gc_sim.obj]
+   charges the machine and assigns the uid behind each object's d-cache
+   address.  Frames go outermost first, and within a frame the stack
+   before the locals. *)
+let materialize rtc (resume : Ir.resume) (regs : Value.t array)
+    (dst : Value.t array) =
   let gc = Ctx.gc rtc in
   let memo = Array.make (Array.length resume.Ir.r_virtuals) None in
   let rec value_of (s : Ir.source) : Value.t =
@@ -100,42 +104,18 @@ let materialize_frames rtc (resume : Ir.resume) (regs : Value.t array) =
         | _ -> assert false);
         v
   in
-  List.map
-    (fun (f : Ir.frame_snap) ->
-      {
-        df_code = f.Ir.snap_code;
-        df_pc = f.Ir.snap_pc;
-        df_locals = Array.map value_of f.Ir.snap_locals;
-        df_stack = Array.map value_of f.Ir.snap_stack;
-        df_discard = f.Ir.snap_discard;
-      })
-    resume.Ir.frames
-
-(* --- guard evaluation --- *)
-
-let guard_holds (g : Ir.guard) (vals : Value.t array) =
-  match g.Ir.gkind with
-  | Ir.G_true -> Value.truthy vals.(0)
-  | Ir.G_false -> not (Value.truthy vals.(0))
-  | Ir.G_value v -> Value.py_eq vals.(0) v
-  | Ir.G_class sh -> Trace_ops.tyshape_of vals.(0) = sh
-  | Ir.G_nonnull -> not (Value.is_nil vals.(0))
-  | Ir.G_no_ovf_add -> (
-      match Eval_op.checked_add (as_int vals.(0)) (as_int vals.(1)) with
-      | (_ : int) -> true
-      | exception Eval_op.Overflow -> false)
-  | Ir.G_no_ovf_sub -> (
-      match Eval_op.checked_sub (as_int vals.(0)) (as_int vals.(1)) with
-      | (_ : int) -> true
-      | exception Eval_op.Overflow -> false)
-  | Ir.G_no_ovf_mul -> (
-      match Eval_op.checked_mul (as_int vals.(0)) (as_int vals.(1)) with
-      | (_ : int) -> true
-      | exception Eval_op.Overflow -> false)
-  | Ir.G_index_lt ->
-      let i = as_int vals.(0) and n = as_int vals.(1) in
-      i >= 0 && i < n
-  | Ir.G_global_version (cell, ver) -> !cell = ver
+  let fill base (srcs : Ir.source array) =
+    Array.iteri (fun i s -> dst.(base + i) <- value_of s) srcs
+  in
+  ignore
+    (List.fold_left
+       (fun base (f : Ir.frame_snap) ->
+         let nlocals = Array.length f.Ir.snap_locals in
+         fill (base + nlocals) f.Ir.snap_stack;
+         fill base f.Ir.snap_locals;
+         base + nlocals + Array.length f.Ir.snap_stack)
+       0 resume.Ir.frames
+      : int)
 
 (* --- blackhole: charge deoptimization and rebuild frames --- *)
 
@@ -161,7 +141,9 @@ let blackhole rtc (resume : Ir.resume) regs ~guard_id =
       ~site:(950_000 + (guard_id land 63))
       ~taken:(((i * 7) + guard_id) mod 3 <> 0)
   done;
-  materialize_frames rtc resume regs
+  let values = Array.make slots Value.nil in
+  materialize rtc resume regs values;
+  values
 
 (* --- heap operations on concrete values --- *)
 
@@ -185,268 +167,6 @@ let setfield rtc o idx v =
   | _ -> Semantics.err "setfield on %s" (Value.type_name o)
 
 let entry_cost = Cost.make ~alu:6 ~load:8 ~store:8 ~other:9 ()
-
-(* --- the reference loop ---
-
-   Interprets the IR directly: the executable semantics the threaded
-   translation below must reproduce exactly (the differential test in
-   test/test_threaded_diff.ml holds the two to identical exits, register
-   files and machine counters). *)
-
-let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
-    ~(entry : Value.t array) : exit_state =
-  let eng = Ctx.engine rtc in
-  let cfg = Ctx.config rtc in
-  let gc = Ctx.gc rtc in
-  (* current register file, tracked for GC root scanning *)
-  let cur_regs = ref (Array.make trace.Ir.nregs Value.nil) in
-  Array.blit entry 0 !cur_regs 0 (Array.length entry);
-  let scanner_id =
-    Gc_sim.add_root_scanner gc (fun visit -> Array.iter visit !cur_regs)
-  in
-  Fun.protect ~finally:(fun () -> Gc_sim.remove_root_scanner gc scanner_id)
-  @@ fun () ->
-  let cur_trace = ref trace in
-  let last_resume = ref None in
-  Engine.annot eng (Annot.Trace_enter trace.Ir.trace_id);
-  Jitlog.record_first_entry jitlog ~insns:(Engine.total_insns eng);
-  Engine.emit eng entry_cost;
-  trace.Ir.exec_count <- trace.Ir.exec_count + 1;
-  let exit_state = ref None in
-  let ip = ref 0 in
-  let switch_trace (target : Ir.trace) (values : Value.t array) =
-    Engine.annot eng (Annot.Trace_exit !cur_trace.Ir.trace_id);
-    Engine.annot eng (Annot.Trace_enter target.Ir.trace_id);
-    let regs = Array.make target.Ir.nregs Value.nil in
-    Array.blit values 0 regs 0 (Array.length values);
-    cur_regs := regs;
-    cur_trace := target;
-    target.Ir.exec_count <- target.Ir.exec_count + 1;
-    ip := 0
-  in
-  let deopt resume ~guard =
-    let guard_id = match guard with Some g -> g.Ir.guard_id | None -> -1 in
-    Engine.annot eng (Annot.Guard_fail guard_id);
-    Jitlog.record_deopt jitlog;
-    (!cur_trace).Ir.deopts <- (!cur_trace).Ir.deopts + 1;
-    let frames = blackhole rtc resume !cur_regs ~guard_id in
-    let request_bridge =
-      match guard with
-      | Some g ->
-          g.Ir.fail_count >= cfg.Config.bridge_threshold
-          && g.Ir.bridgeable && g.Ir.bridge = None
-      | None -> false
-    in
-    exit_state :=
-      Some
-        {
-          frames;
-          failed_guard = guard;
-          failed_in = Some !cur_trace;
-          request_bridge;
-          finished = None;
-        }
-  in
-  while !exit_state = None do
-    let t = !cur_trace in
-    let regs = !cur_regs in
-    let op = t.Ir.ops.(!ip) in
-    t.Ir.op_exec.(!ip) <- t.Ir.op_exec.(!ip) + 1;
-    (* per-opcode costs are interned in the trace's code table at
-       compile time; charge through the block API *)
-    Engine.emit_static eng t.Ir.op_costs ~lo:!ip ~hi:(!ip + 1);
-    let arg i =
-      match op.Ir.args.(i) with
-      | Ir.Const v -> v
-      | Ir.Reg r -> regs.(r)
-    in
-    let argvals () = Array.map (function
-        | Ir.Const v -> v
-        | Ir.Reg r -> regs.(r)) op.Ir.args
-    in
-    let set_result v = if op.Ir.result >= 0 then regs.(op.Ir.result) <- v in
-    match op.Ir.opcode with
-    | Ir.Debug_merge_point d ->
-        last_resume := Some d.dmp_resume;
-        Engine.annot eng Annot.Dispatch_tick;
-        incr ip
-    | Ir.Label -> incr ip
-    | Ir.Guard g -> (
-        let vals = argvals () in
-        match guard_holds g vals with
-        | true ->
-            Engine.branch eng ~site:(400_000 + (g.Ir.guard_id land 4095)) ~taken:true;
-            incr ip
-        | false -> (
-            Engine.branch eng ~site:(400_000 + (g.Ir.guard_id land 4095)) ~taken:false;
-            g.Ir.fail_count <- g.Ir.fail_count + 1;
-            match g.Ir.bridge with
-            | Some bridge ->
-                (* patched side-exit: jump straight into the bridge with
-                   the (materialized) frame state flattened into its
-                   entry registers *)
-                let frames = materialize_frames rtc g.Ir.resume regs in
-                let flat =
-                  List.concat_map
-                    (fun f -> Array.to_list f.df_locals @ Array.to_list f.df_stack)
-                    frames
-                in
-                switch_trace bridge (Array.of_list flat)
-            | None -> deopt g.Ir.resume ~guard:(Some g))
-        | exception (Ops_intf.Lang_error _ | Rarith.Type_error _ | Division_by_zero) ->
-            deopt g.Ir.resume ~guard:(Some g))
-    | Ir.Finish ->
-        Engine.branch eng ~site:(430_000 + (t.Ir.trace_id land 1023)) ~taken:true;
-        exit_state :=
-          Some
-            {
-              frames = [];
-              failed_guard = None;
-              failed_in = None;
-              request_bridge = false;
-              finished = Some (arg 0);
-            }
-    | Ir.Jump -> (
-        let vals = argvals () in
-        (* adaptive tiers: a baseline loop that has reached its
-           promotion point leaves JIT code at its own back-edge — the
-           frame state there is exactly the loop-header state — so the
-           driver's portal can take a tier-up decision and re-enter *)
-        match t.Ir.kind with
-        | Ir.Loop { loop_code; loop_pc }
-          when t.Ir.tier = 1 && t.Ir.exec_count >= t.Ir.promote_at ->
-            exit_state :=
-              Some
-                {
-                  frames =
-                    [
-                      {
-                        df_code = loop_code;
-                        df_pc = loop_pc;
-                        df_locals = vals;
-                        df_stack = [||];
-                        df_discard = false;
-                      };
-                    ];
-                  failed_guard = None;
-                  failed_in = None;
-                  request_bridge = false;
-                  finished = None;
-                }
-        | _ ->
-            Array.blit vals 0 regs t.Ir.loop_base (Array.length vals);
-            Engine.branch eng ~site:(410_000 + (t.Ir.trace_id land 1023))
-              ~taken:true;
-            t.Ir.exec_count <- t.Ir.exec_count + 1;
-            ip := t.Ir.loop_start)
-    | Ir.Call_assembler target_id -> (
-        match Jitlog.find jitlog target_id with
-        | Some target ->
-            Engine.branch_indirect eng ~site:(420_000 + (t.Ir.trace_id land 1023))
-              ~target:target_id;
-            switch_trace target (argvals ())
-        | None -> (
-            match !last_resume with
-            | Some r -> deopt r ~guard:None
-            | None -> Semantics.err "call_assembler to unknown trace"))
-    | _ -> (
-        (* ordinary operations; language errors deoptimize to the current
-           bytecode boundary *)
-        match
-          (match op.Ir.opcode with
-          | Ir.Getfield_gc idx -> set_result (getfield rtc (arg 0) idx)
-          | Ir.Setfield_gc idx -> setfield rtc (arg 0) idx (arg 1)
-          | Ir.Getcell ->
-              let v = arg 0 in
-              if Value.is_obj v then (
-                match (Value.to_obj_unchecked v).Value.payload with
-                | Value.Cell c -> set_result c.cell
-                | _ -> Semantics.err "getcell on %s" (Value.type_name v))
-              else Semantics.err "getcell on %s" (Value.type_name v)
-          | Ir.Setcell ->
-              let v = arg 0 in
-              if Value.is_obj v then (
-                let o = Value.to_obj_unchecked v in
-                match o.Value.payload with
-                | Value.Cell c ->
-                    c.cell <- arg 1;
-                    Gc_sim.write_barrier gc ~parent:o ~child:(arg 1)
-                | _ -> Semantics.err "setcell on %s" (Value.type_name v))
-              else Semantics.err "setcell on %s" (Value.type_name v)
-          | Ir.Getlistitem ->
-              let o = Semantics.as_list (arg 0) in
-              let i = as_int (arg 1) in
-              let l = Rlist.of_obj o in
-              if i < 0 || i >= Rlist.length l then
-                Semantics.err "list index out of range";
-              Engine.mem_access eng ~addr:(Gc_sim.addr o ~field:(i land 15))
-                ~write:false;
-              set_result (Value.list_get_unsafe l i)
-          | Ir.Setlistitem ->
-              let o = Semantics.as_list (arg 0) in
-              let i = as_int (arg 1) in
-              let l = Rlist.of_obj o in
-              if i < 0 || i >= Rlist.length l then
-                Semantics.err "list assignment index out of range";
-              Rlist.set rtc o i (arg 2)
-          | Ir.Getarrayitem_gc ->
-              let v = arg 0 in
-              if Value.is_obj v then (
-                let o = Value.to_obj_unchecked v in
-                match o.Value.payload with
-                | Value.Tuple a ->
-                    let i = as_int (arg 1) in
-                    if i < 0 || i >= Array.length a then
-                      Semantics.err "tuple index out of range";
-                    Engine.mem_access eng
-                      ~addr:(Gc_sim.addr o ~field:(i land 15))
-                      ~write:false;
-                    set_result a.(i)
-                | _ -> Semantics.err "getarrayitem on %s" (Value.type_name v))
-              else Semantics.err "getarrayitem on %s" (Value.type_name v)
-          | Ir.Arraylen ->
-              set_result (Value.of_int (Semantics.len_of rtc (arg 0)))
-          | Ir.New_with_vtable cls_obj -> (
-              match cls_obj.Value.payload with
-              | Value.Class c ->
-                  set_result
-                    (Gc_sim.obj gc
-                       (Value.Instance
-                          {
-                            cls = cls_obj;
-                            fields =
-                              Array.make
-                                (Array.length c.Value.layout)
-                                Value.nil;
-                          }))
-              | _ -> Semantics.err "new_with_vtable: not a class")
-          | Ir.New_array _ ->
-              set_result (Gc_sim.obj gc (Value.Tuple (argvals ())))
-          | Ir.New_list _ ->
-              set_result
-                (Value.of_obj (Rlist.create rtc (Array.to_list (argvals ()))))
-          | Ir.New_cell ->
-              set_result (Gc_sim.obj gc (Value.Cell { cell = arg 0 }))
-          | Ir.Call_r rc ->
-              let vals = argvals () in
-              set_result (Aot.call rtc rc.Ir.aot (fun () -> rc.Ir.run rtc vals))
-          | Ir.Call_n rc ->
-              let vals = argvals () in
-              ignore (Aot.call rtc rc.Ir.aot (fun () -> rc.Ir.run rtc vals))
-          | opc ->
-              (* pure ops *)
-              set_result (Eval_op.eval opc (argvals ())))
-        with
-        | () -> incr ip
-        | exception
-            ((Ops_intf.Lang_error _ | Rarith.Type_error _ | Division_by_zero)
-             as e) -> (
-            match !last_resume with
-            | Some r -> deopt r ~guard:None
-            | None -> raise e))
-  done;
-  Engine.annot eng (Annot.Trace_exit !cur_trace.Ir.trace_id);
-  Option.get !exit_state
 
 (* --- closure-threaded trace code ---
 
@@ -515,13 +235,13 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
     let gs = Array.map getter args in
     fun regs -> Array.map (fun g -> g regs) gs
   in
-  (* shared exit paths, mirroring the reference loop exactly *)
+  (* shared exit paths *)
   let deopt st (resume : Ir.resume) (guard : Ir.guard option) =
     let guard_id = match guard with Some g -> g.Ir.guard_id | None -> -1 in
     Engine.annot eng (Annot.Guard_fail guard_id);
     Jitlog.record_deopt jitlog;
     st.st_cur.Ir.deopts <- st.st_cur.Ir.deopts + 1;
-    let frames = blackhole rtc resume st.st_regs ~guard_id in
+    let values = blackhole rtc resume st.st_regs ~guard_id in
     let request_bridge =
       match guard with
       | Some g ->
@@ -532,7 +252,8 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
     st.st_exit <-
       Some
         {
-          frames;
+          frames = resume.Ir.frames;
+          values;
           failed_guard = guard;
           failed_in = Some st.st_cur;
           request_bridge;
@@ -544,34 +265,40 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
     | Some r -> deopt st r None
     | None -> raise e
   in
-  let switch st (target : Ir.trace) (values : Value.t array) =
+  (* enter [target] with [regs], its register file already filled in
+     its entry layout *)
+  let switch st (target : Ir.trace) (regs : Value.t array) =
     Engine.annot eng (Annot.Trace_exit st.st_cur.Ir.trace_id);
     Engine.annot eng (Annot.Trace_enter target.Ir.trace_id);
-    let regs = Array.make target.Ir.nregs Value.nil in
-    Array.blit values 0 regs 0 (Array.length values);
     st.st_regs <- regs;
     st.st_cur <- target;
     st.st_code <- code_for rtc jitlog target;
     target.Ir.exec_count <- target.Ir.exec_count + 1;
     st.st_ip <- 0
   in
+  (* a fresh register file for [target] whose entry slots are [gs]
+     read over [regs] *)
+  let entry_regs (target : Ir.trace) gs regs =
+    let dst = Array.make target.Ir.nregs Value.nil in
+    for k = 0 to Array.length gs - 1 do
+      dst.(k) <- (Array.unsafe_get gs k) regs
+    done;
+    dst
+  in
   (* a guard's fail path, resolved at translation time: an attached
-     bridge becomes a direct jump-with-flattened-frames, otherwise the
-     deopt.  Sound to pre-bind because bridges only attach between runs
-     (in the driver), and attaching one bumps [code_version] which
-     invalidates this translation. *)
+     bridge becomes a direct jump, the frame state materialized straight
+     into the bridge's register file; otherwise the deopt.  Sound to
+     pre-bind because bridges only attach between runs (in the driver),
+     and attaching one bumps [code_version] which invalidates this
+     translation. *)
   let fail_path (g : Ir.guard) : state -> unit =
     match g.Ir.bridge with
     | Some bridge ->
         fun st ->
           g.Ir.fail_count <- g.Ir.fail_count + 1;
-          let frames = materialize_frames rtc g.Ir.resume st.st_regs in
-          let flat =
-            List.concat_map
-              (fun f -> Array.to_list f.df_locals @ Array.to_list f.df_stack)
-              frames
-          in
-          switch st bridge (Array.of_list flat)
+          let regs = Array.make bridge.Ir.nregs Value.nil in
+          materialize rtc g.Ir.resume st.st_regs regs;
+          switch st bridge regs
     | None ->
         fun st ->
           g.Ir.fail_count <- g.Ir.fail_count + 1;
@@ -706,6 +433,7 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
             Some
               {
                 frames = [];
+                values = [||];
                 failed_guard = None;
                 failed_in = None;
                 request_bridge = false;
@@ -727,6 +455,17 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
         match t.Ir.kind with
         | Ir.Loop { loop_code; loop_pc }
           when t.Ir.tier = 1 && t.Ir.promote_at <> Tierpolicy.never ->
+            (* the frame a promotion exit leaves with: the loop header,
+               its locals the jump's arguments *)
+            let header =
+              {
+                Ir.snap_code = loop_code;
+                snap_pc = loop_pc;
+                snap_locals = Array.map Ir.source_of_operand op.Ir.args;
+                snap_stack = [||];
+                snap_discard = false;
+              }
+            in
             fun st ->
               exec.(i) <- exec.(i) + 1;
               Engine.emit eng cost;
@@ -739,16 +478,8 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
                 st.st_exit <-
                   Some
                     {
-                      frames =
-                        [
-                          {
-                            df_code = loop_code;
-                            df_pc = loop_pc;
-                            df_locals = vals;
-                            df_stack = [||];
-                            df_discard = false;
-                          };
-                        ];
+                      frames = [ header ];
+                      values = vals;
                       failed_guard = None;
                       failed_in = None;
                       request_bridge = false;
@@ -770,22 +501,16 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
     | Ir.Call_assembler target_id -> (
         let cost = costs.(i) in
         let gs = Array.map getter op.Ir.args in
-        let len = Array.length gs in
         let site = 420_000 + (t.Ir.trace_id land 1023) in
         match Jitlog.find jitlog target_id with
         | Some target ->
             (* target resolved at translation time; trace registration is
                permanent, so the binding can never go stale *)
-            let tmp = Array.make len Value.nil in
             fun st ->
               exec.(i) <- exec.(i) + 1;
               Engine.emit eng cost;
               Engine.branch_indirect eng ~site ~target:target_id;
-              let regs = st.st_regs in
-              for k = 0 to len - 1 do
-                Array.unsafe_set tmp k ((Array.unsafe_get gs k) regs)
-              done;
-              switch st target tmp
+              switch st target (entry_regs target gs st.st_regs)
         | None ->
             fun st -> (
               exec.(i) <- exec.(i) + 1;
@@ -793,8 +518,7 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
               match Jitlog.find jitlog target_id with
               | Some target ->
                   Engine.branch_indirect eng ~site ~target:target_id;
-                  let regs = st.st_regs in
-                  switch st target (Array.map (fun g -> g regs) gs)
+                  switch st target (entry_regs target gs st.st_regs)
               | None -> (
                   match st.st_resume with
                   | Some r -> deopt st r None

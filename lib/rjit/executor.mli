@@ -8,24 +8,31 @@
     worst-IPC phase) rebuilds interpreter frames from the guard's resume
     data, materializing any virtualized allocations.
 
+    Every way out of trace code uses one frame-state format, the {e exit
+    layout}: the frames' shapes are resume data ({!Ir.frame_snap}s,
+    outermost first; each snap's [snap_locals]/[snap_stack] lengths give
+    the frame's slot counts) and their values one flat array holding
+    each frame's locals, then its stack.  A bridge's entry registers use
+    the same layout, so a bridged guard fills the bridge's register file
+    directly.
+
     {!run} executes closure-threaded code: the op array is translated
     once ({!precompile}) into pre-bound step closures, cached in the
     context's code cache keyed by trace id, and invalidated when a
-    bridge attachment bumps the trace's [code_version].  {!run_ref} is
-    the reference interpreting loop with identical semantics and
-    identical simulated-machine charging (the differential tests hold
-    the two to byte-identical counters). *)
-
-type deopt_frame = {
-  df_code : int;             (** interpreter code_ref *)
-  df_pc : int;               (** bytecode pc to re-execute from *)
-  df_locals : Mtj_rt.Value.t array;
-  df_stack : Mtj_rt.Value.t array;
-  df_discard : bool;         (** the frame's return value is discarded *)
-}
+    bridge attachment bumps the trace's [code_version].  The reference
+    interpreting loop with identical semantics and identical
+    simulated-machine charging is test code, the oracle of the
+    differential tests. *)
 
 type exit_state = {
-  frames : deopt_frame list;  (** outermost first; empty on [finished] *)
+  frames : Ir.frame_snap list;
+      (** the frames' shapes, outermost first: code, pc, discard flag,
+          and through the source arrays' lengths each frame's locals and
+          stack counts (the sources themselves are not re-read); empty on
+          [finished] *)
+  values : Mtj_rt.Value.t array;
+      (** the frames' slots in the exit layout: each frame's locals then
+          its stack, outermost frame first *)
   failed_guard : Ir.guard option;
   failed_in : Ir.trace option;
       (** the trace the failing guard belongs to (execution may have
@@ -38,23 +45,25 @@ type exit_state = {
           value to its caller *)
 }
 
-val materialize_frames :
-  Mtj_rt.Ctx.t -> Ir.resume -> Mtj_rt.Value.t array -> deopt_frame list
-(** Rebuild interpreter frames from resume data and the current register
-    file, allocating any virtual objects described by the resume's
-    descriptors (shared descriptors materialize once, cycles are fine). *)
-
-val guard_holds : Ir.guard -> Mtj_rt.Value.t array -> bool
-(** Evaluate a guard's condition against its argument values. *)
+val materialize :
+  Mtj_rt.Ctx.t -> Ir.resume -> Mtj_rt.Value.t array -> Mtj_rt.Value.t array ->
+  unit
+(** [materialize rtc resume regs dst] writes the frame state [resume]
+    describes into [dst] in the exit layout, reading registers from
+    [regs] and allocating the virtual objects the resume's descriptors
+    describe (shared descriptors materialize once, cycles are fine).
+    The allocation order is part of the simulated behaviour: frames
+    outermost first, and within a frame the stack before the locals. *)
 
 val blackhole :
   Mtj_rt.Ctx.t ->
   Ir.resume ->
   Mtj_rt.Value.t array ->
   guard_id:int ->
-  deopt_frame list
-(** {!materialize_frames} wrapped in the blackhole phase with the
-    deoptimization cost model (resume-chain walking, poor prediction). *)
+  Mtj_rt.Value.t array
+(** {!materialize} into a fresh array, wrapped in the blackhole phase
+    with the deoptimization cost model (resume-chain walking, poor
+    prediction). *)
 
 val precompile : Mtj_rt.Ctx.t -> Jitlog.t -> Ir.trace -> unit
 (** Translate [trace] into closure-threaded code and install it in the
@@ -75,14 +84,3 @@ val run :
     threshold). The register file is a GC root for the duration.  Runs
     the closure-threaded form out of the context's code cache,
     re-translating when the trace's [code_version] moved. *)
-
-val run_ref :
-  Mtj_rt.Ctx.t ->
-  Jitlog.t ->
-  trace:Ir.trace ->
-  entry:Mtj_rt.Value.t array ->
-  exit_state
-(** Reference executor: interprets the trace IR directly (re-matching
-    opcodes and re-decoding operands each iteration).  Semantically
-    identical to {!run}, including every charge to the simulated
-    machine; kept as the oracle for the differential tests. *)

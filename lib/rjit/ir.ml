@@ -99,6 +99,8 @@ type source =
   | S_const of Mtj_rt.Value.t
   | S_virtual of int  (* index into the trace's virtual descriptors *)
 
+let source_of_operand = function Reg r -> S_reg r | Const v -> S_const v
+
 type frame_snap = {
   snap_code : int;          (* code_ref of the interpreter frame *)
   snap_pc : int;            (* pc of the bytecode being (re)executed *)

@@ -155,11 +155,10 @@ let bsub a b =
 let bmul a b =
   let cands = [ a.lo * b.lo; a.lo * b.hi; a.hi * b.lo; a.hi * b.hi ] in
   (* only trust the product when the factors are small enough that the
-     native multiply cannot have wrapped *)
-  if
-    max (abs a.lo) (abs a.hi) < (1 lsl 31)
-    && max (abs b.lo) (abs b.hi) < (1 lsl 31)
-  then
+     native multiply cannot have wrapped (explicit ranges: [abs min_int]
+     is negative) *)
+  let small b = b.lo > -(1 lsl 31) && b.hi < 1 lsl 31 in
+  if small a && small b then
     Some
       {
         lo = List.fold_left min max_int cands;

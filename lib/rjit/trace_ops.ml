@@ -256,31 +256,18 @@ let int_ovf_binop cx opcode gkind f big_rc (a : t) (b : t) : t =
   guard_shape cx a;
   guard_shape cx b;
   let x = as_int a.R.v and y = as_int b.R.v in
-  let exact = f x y in
-  match exact with
-  | Some r ->
+  match f x y with
+  | r ->
       let res = R.emit cx opcode [| a.R.src; b.R.src |] (Value.of_int r) in
       R.guard cx gkind [| a.R.src; b.R.src |];
       res
-  | None ->
+  | exception Eval_op.Overflow ->
       (* overflowed during tracing: record the bignum path *)
       residual_r cx big_rc [| a; b |]
 
-let checked_add x y =
-  let r = x + y in
-  if (x >= 0) = (y >= 0) && (r >= 0) <> (x >= 0) then None else Some r
-
-let checked_sub x y =
-  let r = x - y in
-  if (x >= 0) <> (y >= 0) && (r >= 0) <> (x >= 0) then None else Some r
-
-let checked_mul x y =
-  if x <> 0 && (abs x > 1 lsl 31 || abs y > 1 lsl 31) && (x * y) / x <> y then
-    None
-  else Some (x * y)
-
 let add cx (a : t) (b : t) =
-  if both_int a b then int_ovf_binop cx Ir.Int_add Ir.G_no_ovf_add checked_add rc_add a b
+  if both_int a b then
+    int_ovf_binop cx Ir.Int_add Ir.G_no_ovf_add Eval_op.checked_add rc_add a b
   else if is_float a.R.v || is_float b.R.v then
     float_binop cx Ir.Float_add ( +. ) a b
   else if is_str a.R.v && is_str b.R.v then begin
@@ -298,13 +285,15 @@ let add cx (a : t) (b : t) =
   end
 
 let sub cx a b =
-  if both_int a b then int_ovf_binop cx Ir.Int_sub Ir.G_no_ovf_sub checked_sub rc_sub a b
+  if both_int a b then
+    int_ovf_binop cx Ir.Int_sub Ir.G_no_ovf_sub Eval_op.checked_sub rc_sub a b
   else if is_float a.R.v || is_float b.R.v then
     float_binop cx Ir.Float_sub ( -. ) a b
   else residual_r cx rc_sub [| a; b |]
 
 let mul cx a b =
-  if both_int a b then int_ovf_binop cx Ir.Int_mul Ir.G_no_ovf_mul checked_mul rc_mul a b
+  if both_int a b then
+    int_ovf_binop cx Ir.Int_mul Ir.G_no_ovf_mul Eval_op.checked_mul rc_mul a b
   else if is_float a.R.v || is_float b.R.v then
     float_binop cx Ir.Float_mul ( *. ) a b
   else if has_bigint a b then residual_r cx rc_mul [| a; b |]

@@ -35,5 +35,8 @@ val normalize_big : Ctx.t -> Rbigint.t -> Value.t
 val floordiv_int : int -> int -> int
 (** Python floor division on native ints; raises [Division_by_zero]. *)
 
+val mul_overflows : int -> int -> bool
+(** Whether the native product [x * y] overflows; safe at [min_int]. *)
+
 val mod_int : int -> int -> int
 (** Python modulo on native ints; raises [Division_by_zero]. *)

@@ -1,6 +1,8 @@
 (** Direct tests of the trace executor's building blocks: frame
-    materialization from resume data (including virtual objects), guard
-    evaluation, and blackhole accounting. *)
+    materialization from resume data into the exit layout (including
+    virtual objects and the allocation order), guard evaluation (the
+    reference executor's, which the threaded one is held to), and
+    blackhole accounting. *)
 
 open Mtj_rjit
 module V = Mtj_rt.Value
@@ -19,6 +21,12 @@ let snap ?(pc = 3) locals stack =
     snap_discard = false;
   }
 
+(* materialize [resume] into a fresh array of [n] slots *)
+let materialize ?(n = 1) c resume regs =
+  let dst = Array.make n V.nil in
+  Executor.materialize c resume regs dst;
+  dst
+
 let test_materialize_plain () =
   let resume =
     {
@@ -26,16 +34,10 @@ let test_materialize_plain () =
       r_virtuals = [||];
     }
   in
-  let frames =
-    Executor.materialize_frames (rtc ()) resume [| V.of_int 1; V.of_str "s" |]
-  in
-  match frames with
-  | [ f ] ->
-      Alcotest.(check int) "pc" 3 f.Executor.df_pc;
-      Alcotest.(check bool) "local0" true (f.Executor.df_locals.(0) = V.of_int 1);
-      Alcotest.(check bool) "local1" true (f.Executor.df_locals.(1) = V.of_int 9);
-      Alcotest.(check bool) "stack" true (f.Executor.df_stack.(0) = V.of_str "s")
-  | _ -> Alcotest.fail "expected one frame"
+  let slots = materialize ~n:3 (rtc ()) resume [| V.of_int 1; V.of_str "s" |] in
+  Alcotest.(check bool) "local0" true (slots.(0) = V.of_int 1);
+  Alcotest.(check bool) "local1" true (slots.(1) = V.of_int 9);
+  Alcotest.(check bool) "stack" true (slots.(2) = V.of_str "s")
 
 let test_materialize_tuple_virtual () =
   let resume =
@@ -44,8 +46,7 @@ let test_materialize_tuple_virtual () =
       r_virtuals = [| Ir.V_tuple [| Ir.S_reg 0; Ir.S_const (V.of_int 2) |] |];
     }
   in
-  let frames = Executor.materialize_frames (rtc ()) resume [| V.of_int 1 |] in
-  let v = (List.hd frames).Executor.df_locals.(0) in
+  let v = (materialize (rtc ()) resume [| V.of_int 1 |]).(0) in
   match V.view v with
   | V.Obj { V.payload = V.Tuple [| x; y |]; _ }
     when V.py_eq x (V.of_int 1) && V.py_eq y (V.of_int 2) ->
@@ -64,8 +65,7 @@ let test_materialize_nested_virtual () =
         |];
     }
   in
-  let frames = Executor.materialize_frames (rtc ()) resume [| V.of_int 42 |] in
-  let v = (List.hd frames).Executor.df_locals.(0) in
+  let v = (materialize (rtc ()) resume [| V.of_int 42 |]).(0) in
   match V.view v with
   | V.Obj { V.payload = V.Tuple [| first; _ |]; _ } -> (
       match V.view first with
@@ -83,10 +83,8 @@ let test_materialize_shared_virtual () =
       r_virtuals = [| Ir.V_tuple [| Ir.S_const (V.of_int 1) |] |];
     }
   in
-  let frames = Executor.materialize_frames (rtc ()) resume [||] in
-  let f = List.hd frames in
-  Alcotest.(check bool) "same object" true
-    (f.Executor.df_locals.(0) == f.Executor.df_locals.(1))
+  let slots = materialize ~n:2 (rtc ()) resume [||] in
+  Alcotest.(check bool) "same object" true (slots.(0) == slots.(1))
 
 let test_materialize_cyclic_virtual () =
   (* a virtual instance whose field points back at itself must not loop *)
@@ -109,8 +107,7 @@ let test_materialize_cyclic_virtual () =
         [| Ir.V_instance { v_cls = cls; v_fields = [| Ir.S_virtual 0 |] } |];
     }
   in
-  let frames = Executor.materialize_frames c resume [||] in
-  match V.view (List.hd frames).Executor.df_locals.(0) with
+  match V.view (materialize c resume [||]).(0) with
   | V.Obj ({ V.payload = V.Instance i; _ } as o) -> (
       match V.view i.V.fields.(0) with
       | V.Obj o' -> Alcotest.(check bool) "self loop" true (o' == o)
@@ -126,8 +123,7 @@ let test_materialize_list_virtual () =
     }
   in
   let c = rtc () in
-  let frames = Executor.materialize_frames c resume [||] in
-  match (List.hd frames).Executor.df_locals.(0) with
+  match (materialize c resume [||]).(0) with
   | v when (match V.view v with
             | V.Obj { V.payload = V.List _; _ } -> true
             | _ -> false) ->
@@ -141,6 +137,51 @@ let test_materialize_list_virtual () =
         (Mtj_rt.Rlist.get c (Mtj_rjit.Semantics.as_obj v) 1 = V.of_int 2)
   | _ -> Alcotest.fail "expected list"
 
+(* --- the exit layout and its allocation order --- *)
+
+(* two frames with virtuals in frame 0's locals, frame 0's stack and
+   frame 1's locals; frame 1's stack shares frame 0's local virtual *)
+let layout_resume =
+  {
+    Ir.frames =
+      [
+        snap [ Ir.S_virtual 0; Ir.S_reg 0 ] [ Ir.S_virtual 1 ];
+        snap ~pc:5 [ Ir.S_virtual 2; Ir.S_const (V.of_int 7) ]
+          [ Ir.S_reg 1; Ir.S_virtual 0 ];
+      ];
+    r_virtuals =
+      [|
+        Ir.V_tuple [| Ir.S_const (V.of_int 10) |];
+        Ir.V_tuple [| Ir.S_const (V.of_int 11) |];
+        Ir.V_cell (Ir.S_reg 0);
+      |];
+  }
+
+let test_exit_layout_order () =
+  let c = rtc () in
+  let flat = materialize ~n:7 c layout_resume [| V.of_int 40; V.of_str "r1" |] in
+  let uid v = (V.to_obj_unchecked v).V.uid in
+  let tuple_elt v =
+    match V.view v with
+    | V.Obj { V.payload = V.Tuple [| x |]; _ } -> V.repr x
+    | _ -> "not a 1-tuple: " ^ V.repr v
+  in
+  Alcotest.(check string) "frame 0 local 0" "10" (tuple_elt flat.(0));
+  Alcotest.(check bool) "frame 0 local 1" true (flat.(1) = V.of_int 40);
+  Alcotest.(check string) "frame 0 stack 0" "11" (tuple_elt flat.(2));
+  (match V.view flat.(3) with
+  | V.Obj { V.payload = V.Cell cl; _ } ->
+      Alcotest.(check bool) "frame 1 local 0" true (cl.cell = V.of_int 40)
+  | _ -> Alcotest.fail "frame 1 local 0 is not a cell");
+  Alcotest.(check bool) "frame 1 local 1" true (flat.(4) = V.of_int 7);
+  Alcotest.(check bool) "frame 1 stack 0" true (flat.(5) = V.of_str "r1");
+  Alcotest.(check bool) "one memo per resume" true (flat.(6) == flat.(0));
+  (* frames outermost first; within a frame the stack before the locals *)
+  let u = uid flat.(2) in
+  Alcotest.(check (list int)) "allocation order by uid"
+    [ u; u + 1; u + 2 ]
+    [ uid flat.(2); uid flat.(0); uid flat.(3) ]
+
 (* --- guard evaluation --- *)
 
 let mk_guard gkind =
@@ -153,7 +194,7 @@ let mk_guard gkind =
     bridgeable = true;
   }
 
-let holds g vals = Executor.guard_holds (mk_guard g) (Array.of_list vals)
+let holds g vals = Ref_executor.guard_holds (mk_guard g) (Array.of_list vals)
 
 let test_guard_kinds () =
   Alcotest.(check bool) "true holds" true (holds Ir.G_true [ V.of_bool true ]);
@@ -204,10 +245,10 @@ let test_blackhole_charges_phase () =
       r_virtuals = [||];
     }
   in
-  let frames =
+  let values =
     Executor.blackhole c resume [| V.of_int 1; V.of_int 2 |] ~guard_id:17
   in
-  Alcotest.(check int) "one frame" 1 (List.length frames);
+  Alcotest.(check int) "three slots" 3 (Array.length values);
   let bh =
     (Counters.phase (Engine.counters (Mtj_rt.Ctx.engine c)) Phase.Blackhole)
       .Counters.insns
@@ -266,6 +307,8 @@ let suite =
       test_materialize_cyclic_virtual;
     Alcotest.test_case "materialize list virtual" `Quick
       test_materialize_list_virtual;
+    Alcotest.test_case "exit layout and allocation order" `Quick
+      test_exit_layout_order;
     Alcotest.test_case "guard kinds" `Quick test_guard_kinds;
     Alcotest.test_case "overflow/index guards" `Quick test_guard_overflow_kinds;
     Alcotest.test_case "global version guard" `Quick test_guard_global_version;

@@ -126,16 +126,34 @@ let run_one config src =
   | Mtj_rjit.Driver.Budget_exceeded -> "<budget>"
   | Mtj_rjit.Driver.Runtime_error e -> "<error: " ^ e ^ ">"
 
-let check_seed seed () =
-  let src = gen_program seed in
+let check_source what src =
   let results = List.map (fun (name, c) -> (name, run_one c src)) configs in
   let _, reference = List.hd results in
   List.iter
     (fun (name, out) ->
       if out <> reference then
-        Alcotest.failf "seed %d: %s diverged\nprogram:\n%s\n%s=%S\ninterp=%S"
-          seed name src name out reference)
+        Alcotest.failf "%s: %s diverged\nprogram:\n%s\n%s=%S\ninterp=%S"
+          what name src name out reference)
     results
+
+let check_seed seed () =
+  check_source (Printf.sprintf "seed %d" seed) (gen_program seed)
+
+(* multiplying min_int overflows: the recorder must take the bignum path
+   and the optimizer must keep the overflow guard *)
+let min_int_mul_src =
+  {|
+x = -(2 ** 62)
+i = 0
+acc = 0
+while i < 500:
+    y = x * 2
+    if y == 0:
+        acc = acc + 1
+    i = i + 1
+print(acc)
+print(y)
+|}
 
 let prop_random_programs =
   QCheck.Test.make ~name:"random programs: interp = jit = ablated jits"
@@ -152,4 +170,8 @@ let suite =
         (Printf.sprintf "generated program %d" i)
         `Quick
         (check_seed (1000 + (i * 7919))))
-  @ [ QCheck_alcotest.to_alcotest prop_random_programs ]
+  @ [
+      Alcotest.test_case "min_int multiply overflows" `Quick (fun () ->
+          check_source "min_int multiply" min_int_mul_src);
+      QCheck_alcotest.to_alcotest prop_random_programs;
+    ]

@@ -95,6 +95,18 @@ let test_overflow_guard_kept_when_unbounded () =
   let out = optimize ops in
   Alcotest.(check int) "guard kept" 1 (count is_guard out)
 
+let test_overflow_guard_kept_at_min_int () =
+  (* r2 in [0,2]; min_int * 2 wraps to 0 natively, so the corner products
+     alone (all 0) must not make the guard look redundant *)
+  let ops =
+    [ mk ~result:2 Ir.Int_mod [| Ir.Reg 0; vi 3 |];
+      mk ~result:3 Ir.Int_mul [| vi min_int; Ir.Reg 2 |];
+      guard ~gkind:Ir.G_no_ovf_mul [| vi min_int; Ir.Reg 2 |];
+      jump [| Ir.Reg 3; Ir.Reg 1 |] ]
+  in
+  let out = optimize ops in
+  Alcotest.(check int) "guard kept" 1 (count is_guard out)
+
 let test_heap_forwarding () =
   (* two getfields of the same field with no effects between *)
   let ops =
@@ -295,6 +307,8 @@ let suite =
       test_overflow_guard_intbounds;
     Alcotest.test_case "unbounded overflow guard kept" `Quick
       test_overflow_guard_kept_when_unbounded;
+    Alcotest.test_case "min_int overflow guard kept" `Quick
+      test_overflow_guard_kept_at_min_int;
     Alcotest.test_case "heap forwarding" `Quick test_heap_forwarding;
     Alcotest.test_case "forwarding invalidated by call" `Quick
       test_forwarding_invalidated_by_call;

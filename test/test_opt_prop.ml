@@ -324,14 +324,17 @@ let run_config (cfg : Mtj_core.Config.t) ~optimizing ops entry =
          frame slot (virtual objects print their rebuilt contents) *)
       let buf = Buffer.create 64 in
       Buffer.add_string buf (Printf.sprintf "deopt:%d" g.Ir.guard_id);
-      List.iter
-        (fun (f : Executor.deopt_frame) ->
-          Buffer.add_string buf
-            (Printf.sprintf "|pc=%d:" f.Executor.df_pc);
-          Array.iter
-            (fun v -> Buffer.add_string buf (V.repr v ^ ","))
-            f.Executor.df_locals)
-        exit.Executor.frames;
+      ignore
+        (List.fold_left
+           (fun base (f : Ir.frame_snap) ->
+             Buffer.add_string buf (Printf.sprintf "|pc=%d:" f.Ir.snap_pc);
+             let nlocals = Array.length f.Ir.snap_locals in
+             for i = base to base + nlocals - 1 do
+               Buffer.add_string buf (V.repr exit.Executor.values.(i) ^ ",")
+             done;
+             base + nlocals + Array.length f.Ir.snap_stack)
+           0 exit.Executor.frames
+          : int);
       Buffer.contents buf
   | _ -> Alcotest.fail "trace did not finish"
 

@@ -1,5 +1,5 @@
 (** Differential test of the closure-threaded executor ({!Executor.run})
-    against the reference interpreting loop ({!Executor.run_ref}).
+    against the reference interpreting loop ({!Ref_executor.run}).
 
     Random straight-line traces (integer/float/string arithmetic, heap
     traffic, failable guards, division that deoptimizes at the bytecode
@@ -47,15 +47,25 @@ let render_exit (ex : Executor.exit_state) =
   | None -> ());
   Buffer.add_string buf
     (Printf.sprintf "|bridge?=%b" ex.Executor.request_bridge);
+  (* the exit layout: each frame's locals then its stack *)
+  let next = ref 0 in
+  let slots n =
+    for _ = 1 to n do
+      Buffer.add_string buf (V.repr ex.Executor.values.(!next) ^ ",");
+      incr next
+    done
+  in
   List.iter
-    (fun (f : Executor.deopt_frame) ->
+    (fun (f : Ir.frame_snap) ->
       Buffer.add_string buf
         (Printf.sprintf "|frame code=%d pc=%d discard=%b locals="
-           f.Executor.df_code f.Executor.df_pc f.Executor.df_discard);
-      Array.iter (fun v -> Buffer.add_string buf (V.repr v ^ ",")) f.Executor.df_locals;
+           f.Ir.snap_code f.Ir.snap_pc f.Ir.snap_discard);
+      slots (Array.length f.Ir.snap_locals);
       Buffer.add_string buf " stack=";
-      Array.iter (fun v -> Buffer.add_string buf (V.repr v ^ ",")) f.Executor.df_stack)
+      slots (Array.length f.Ir.snap_stack))
     ex.Executor.frames;
+  if !next <> Array.length ex.Executor.values then
+    Buffer.add_string buf "|values do not fit the frames";
   Buffer.contents buf
 
 (* everything the machine and the JIT runtime expose about a run *)
@@ -413,7 +423,7 @@ let prop_threaded_identical =
     (QCheck.make QCheck.Gen.(int_range 1 1_000_000))
     (fun seed ->
       let ops, entry = gen_program seed in
-      let reference = run_random Executor.run_ref ops entry in
+      let reference = run_random Ref_executor.run ops entry in
       let threaded = run_random Executor.run ops entry in
       if String.equal reference threaded then true
       else
@@ -425,7 +435,7 @@ let test_generator_coverage () =
   let finish = ref 0 and guard = ref 0 and boundary = ref 0 in
   for seed = 1 to 150 do
     let ops, entry = gen_program seed in
-    let r = run_random Executor.run_ref ops entry in
+    let r = run_random Ref_executor.run ops entry in
     let contains sub =
       let n = String.length sub in
       let rec go i =
@@ -520,6 +530,77 @@ let scenario_bridge (exec : executor) =
   let e2 = exit_of exec rtc jitlog trace [| V.of_int 0 |] in
   observe rtc [ trace; bridge ] [ e1; e2 ]
 
+(* a bridged guard whose resume has two frames, with virtuals in frame
+   0's locals and stack and frame 1's locals: the frame state goes
+   straight into the bridge's register file (the reference flattens
+   per-frame arrays instead), and the bridge returns its seven entry
+   registers as one tuple.  The uids pin the allocation order. *)
+let scenario_bridge_layout (exec : executor) =
+  let rtc = Mtj_rt.Ctx.create () in
+  let jitlog = Jitlog.create () in
+  let frame ~pc locals stack =
+    { Ir.snap_code = 1; snap_pc = pc; snap_locals = locals; snap_stack = stack;
+      snap_discard = false }
+  in
+  let resume =
+    {
+      Ir.frames =
+        [
+          frame ~pc:0 [| Ir.S_virtual 0; Ir.S_reg 0 |] [| Ir.S_virtual 1 |];
+          frame ~pc:5 [| Ir.S_virtual 2; Ir.S_const (V.of_int 7) |]
+            [| Ir.S_reg 1; Ir.S_virtual 0 |];
+        ];
+      r_virtuals =
+        [|
+          Ir.V_tuple [| Ir.S_const (V.of_int 10) |];
+          Ir.V_tuple [| Ir.S_const (V.of_int 11) |];
+          Ir.V_cell (Ir.S_reg 0);
+        |];
+    }
+  in
+  let bridge =
+    Backend.compile jitlog rtc
+      ~kind:(Ir.Bridge { from_guard = 9200; loop_code = 1; loop_pc = 0 })
+      ~entry_slots:7
+      [|
+        { Ir.opcode = Ir.New_array 7; args = Array.init 7 (fun r -> Ir.Reg r);
+          result = 7 };
+        { Ir.opcode = Ir.Finish; args = [| Ir.Reg 7 |]; result = -1 };
+      |]
+  in
+  let trace =
+    Backend.compile jitlog rtc
+      ~kind:(Ir.Loop { loop_code = 1; loop_pc = 0 })
+      ~entry_slots:2
+      [|
+        { Ir.opcode =
+            Ir.Debug_merge_point
+              { dmp_code = 1; dmp_pc = 0; dmp_resume = snap_reg 0 };
+          args = [||]; result = -1 };
+        { Ir.opcode = Ir.Int_lt;
+          args = [| Ir.Reg 0; Ir.Const (V.of_int 0) |]; result = 2 };
+        { Ir.opcode =
+            Ir.Guard
+              { (mk_guard ~id:9200 Ir.G_true resume) with
+                Ir.bridge = Some bridge };
+          args = [| Ir.Reg 2 |]; result = -1 };
+        { Ir.opcode = Ir.Finish; args = [| Ir.Reg 0 |]; result = -1 };
+      |]
+  in
+  let ex = exec rtc jitlog ~trace ~entry:[| V.of_int 40; V.of_str "r1" |] in
+  let uids =
+    match Option.map V.view ex.Executor.finished with
+    | Some (V.Obj { V.payload = V.Tuple slots; _ }) ->
+        Array.to_list slots
+        |> List.filter_map (fun v ->
+               if V.is_obj v then
+                 Some (string_of_int (V.to_obj_unchecked v).V.uid)
+               else None)
+    | _ -> []
+  in
+  observe rtc [ trace; bridge ]
+    [ render_exit ex ^ "|uids=" ^ String.concat "," uids ]
+
 (* A adds 3 then chains into B (call_assembler), which doubles and
    finishes; exercises the cross-trace switch in threaded code *)
 let scenario_call_assembler (exec : executor) =
@@ -599,11 +680,14 @@ let scenario_ovf_fused (exec : executor) =
   observe rtc [ t_ok; t_ovf ] [ e1; e2 ]
 
 let check_scenario name scenario =
-  Alcotest.(check string) name (scenario Executor.run_ref)
+  Alcotest.(check string) name (scenario Ref_executor.run)
     (scenario Executor.run)
 
 let test_loop () = check_scenario "counting loop" scenario_loop
 let test_bridge () = check_scenario "bridge + invalidation" scenario_bridge
+
+let test_bridge_layout () =
+  check_scenario "bridge entry in the exit layout" scenario_bridge_layout
 
 let test_call_assembler () =
   check_scenario "call_assembler chain" scenario_call_assembler
@@ -644,6 +728,7 @@ let suite =
       test_generator_coverage;
     Alcotest.test_case "loop back-edge" `Quick test_loop;
     Alcotest.test_case "bridge attach + cache invalidation" `Quick test_bridge;
+    Alcotest.test_case "bridge entry layout" `Quick test_bridge_layout;
     Alcotest.test_case "call_assembler switch" `Quick test_call_assembler;
     Alcotest.test_case "tiered back-edge exit" `Quick test_tiered;
     Alcotest.test_case "fused overflow guard" `Quick test_ovf;
